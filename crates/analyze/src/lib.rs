@@ -23,7 +23,6 @@
 //! | `join-order` | structure | channel endpoints drop before the consuming thread is joined |
 //! | `shared-accumulator` | structure | no indexed compound-assign into shared buffers inside parallel closures |
 //! | `config-drift` | index | core `canonical_fields`, serve `ACCEPTED_FIELDS`, and `canonical_hash` stay in lockstep |
-//! | `bench-schema` | structure | sweep `TOP_KEYS`/`ROW_KEYS` consts match what `to_json` emits |
 //! | `forbid-unsafe` | token | every crate root carries `#![forbid(unsafe_code)]` |
 //! | `discarded-result` | token | no `let _ =` discarding a value in library code |
 //! | `waiver` | meta | waivers are well-formed, name a real rule, and carry a reason |

@@ -36,7 +36,7 @@ pub struct FnItem {
 /// One `const` or `static` item: its name and initializer range.
 #[derive(Debug, Clone)]
 pub struct ConstItem {
-    /// Item name (`ACCEPTED_FIELDS`, `TOP_KEYS`, …).
+    /// Item name (`ACCEPTED_FIELDS`, …).
     pub name: String,
     /// Code index of the name ident.
     pub name_idx: usize,
@@ -96,16 +96,6 @@ impl Structure {
             })
             .min_by_key(|&(_, span)| span)
             .map(|(f, _)| f)
-    }
-
-    /// The named function, if the file defines one.
-    pub fn fn_named(&self, name: &str) -> Option<&FnItem> {
-        self.fns.iter().find(|f| f.name == name)
-    }
-
-    /// The named const/static, if the file defines one.
-    pub fn const_named(&self, name: &str) -> Option<&ConstItem> {
-        self.consts.iter().find(|c| c.name == name)
     }
 
     /// Starting at code index `i`, skips forward over complete delimiter
@@ -301,9 +291,8 @@ mod tests {
         let s = Structure::build(&f);
         let names: Vec<&str> = s.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, ["alpha", "beta", "gamma"]);
-        assert!(s.fn_named("alpha").expect("alpha").body.is_some());
-        assert!(s.fn_named("beta").expect("beta").body.is_none());
-        assert!(s.fn_named("gamma").expect("gamma").body.is_some());
+        let bodies: Vec<bool> = s.fns.iter().map(|f| f.body.is_some()).collect();
+        assert_eq!(bodies, [true, false, true]);
     }
 
     #[test]
@@ -323,12 +312,13 @@ mod tests {
     fn const_items_capture_the_initializer_range() {
         let f = file("pub const KEYS: &[&str] = &[\"a\", \"b\"];\nstatic N: usize = 3;");
         let s = Structure::build(&f);
-        let keys = s.const_named("KEYS").expect("KEYS");
+        let names: Vec<&str> = s.consts.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["KEYS", "N"]);
+        let keys = &s.consts[0];
         let texts: Vec<&str> = (keys.value.0..=keys.value.1)
             .map(|i| f.code_text(i))
             .collect();
         assert!(texts.contains(&"\"a\""), "{texts:?}");
-        assert!(s.const_named("N").is_some());
     }
 
     #[test]

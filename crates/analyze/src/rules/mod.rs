@@ -8,7 +8,6 @@
 //! kernel crate.
 
 pub mod accum;
-pub mod benchschema;
 pub mod condvar;
 pub mod determinism;
 pub mod drift;
@@ -34,7 +33,6 @@ pub const ALL_RULES: &[&str] = &[
     "join-order",
     "shared-accumulator",
     "config-drift",
-    "bench-schema",
     "forbid-unsafe",
     "discarded-result",
     "waiver",
@@ -120,10 +118,6 @@ pub const RULE_DESCRIPTIONS: &[(&str, &str)] = &[
         "canonical config fields, the serve parser, and the config hash stay in lockstep",
     ),
     (
-        "bench-schema",
-        "bench schema key lists match the keys the sweep emitters actually set",
-    ),
-    (
         "forbid-unsafe",
         "every crate root carries #![forbid(unsafe_code)]",
     ),
@@ -197,7 +191,6 @@ pub fn in_scope(rule: &str, file: &SourceFile) -> bool {
         "env-dependence" => {
             KERNEL_CRATES.contains(&name) || name == "ppbench-serve" || name == "ppbench-bench"
         }
-        "bench-schema" => name == "ppbench-bench",
         _ => true,
     }
 }

@@ -363,39 +363,6 @@ fn config_drift_fixture_pair_spans_crates() {
 }
 
 #[test]
-fn bench_schema_fixture_pair() {
-    let bad = fixture(
-        "bench_schema_bad.rs",
-        "crates/bench/src/k3.rs",
-        "ppbench-bench",
-        FileKind::Lib,
-    );
-    let rules = rules_of(&[bad]);
-    assert_eq!(
-        count(&rules, "bench-schema"),
-        2,
-        "TOP_KEYS and ROW_KEYS both drifted: {rules:?}"
-    );
-
-    let ok = fixture(
-        "bench_schema_ok.rs",
-        "crates/bench/src/k3.rs",
-        "ppbench-bench",
-        FileKind::Lib,
-    );
-    assert!(rules_of(&[ok]).is_empty());
-
-    // The same drifted file outside `ppbench-bench` is out of scope.
-    let elsewhere = fixture(
-        "bench_schema_bad.rs",
-        "crates/core/src/k3.rs",
-        "ppbench-core",
-        FileKind::Lib,
-    );
-    assert!(rules_of(&[elsewhere]).is_empty());
-}
-
-#[test]
 fn stale_waiver_fixture_flags_only_the_dead_waiver() {
     let f = fixture(
         "stale_waiver.rs",

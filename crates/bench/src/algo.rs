@@ -20,24 +20,6 @@ use ppbench_core::{PipelineConfig, Stopwatch, Variant};
 /// Version tag written into the JSON so schema changes are explicit.
 pub const SCHEMA_VERSION: &str = "ppbench-algo-v1";
 
-/// Top-level keys of the benchmark file, sorted (canonical order).
-pub const TOP_KEYS: &[&str] = &["benchmark", "edge_factor", "results", "seed"];
-
-/// Keys of each result row, sorted (canonical order).
-pub const ROW_KEYS: &[&str] = &[
-    "checksum",
-    "edges",
-    "impl",
-    "matches_serial",
-    "meps",
-    "scale",
-    "seconds",
-    "stat",
-    "threads",
-    "vertices",
-    "workload",
-];
-
 /// The analytics workloads under measurement (every workload except
 /// PageRank, which `k3bench` covers on its own axis).
 pub const ALGO_WORKLOADS: [Workload; 4] =
@@ -68,7 +50,7 @@ impl Default for SweepConfig {
 }
 
 /// One measured point.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SweepRow {
     /// Workload name (see [`Workload::name`]).
     pub workload: &'static str,
@@ -186,12 +168,12 @@ pub fn to_json(cfg: &SweepConfig, rows: &[SweepRow]) -> String {
     obj.render()
 }
 
-/// Validates a `BENCH_algo.json` document against the expected schema:
-/// correct version tag, exactly [`TOP_KEYS`] at the top level, at least
-/// one result row, and exactly [`ROW_KEYS`] on every row. Fails on drift
-/// in either direction (missing *or* extra keys).
+/// Validates a `BENCH_algo.json` document: it must parse, carry this sweep's
+/// version tag and at least one row, and have exactly the top-level and
+/// row keys [`to_json`] emits for a default config and row.
 pub fn check_schema(text: &str) -> Result<(), String> {
-    crate::schema::check_flat_schema(text, SCHEMA_VERSION, TOP_KEYS, ROW_KEYS)
+    let reference = to_json(&SweepConfig::default(), &[SweepRow::default()]);
+    crate::schema::check_flat_schema(text, &reference).map(drop)
 }
 
 #[cfg(test)]

@@ -40,26 +40,6 @@ use ppbench_sort::{Algorithm, ExternalSorter, SortKey};
 /// sweep caps.
 pub const SCHEMA_VERSION: &str = "ppbench-k01-v3";
 
-/// Top-level keys of the benchmark file, sorted (canonical order).
-pub const TOP_KEYS: &[&str] = &[
-    "benchmark",
-    "budget_divisor",
-    "edge_factor",
-    "faithful_max_scale",
-    "gens",
-    "k1_max_scale",
-    "num_files",
-    "results",
-    "seed",
-    "trials",
-];
-
-/// Keys of each result row, sorted (canonical order).
-pub const ROW_KEYS: &[&str] = &[
-    "edges", "gb_per_s", "gen", "kernel", "mb_per_s", "mbytes", "scale", "seconds", "threads",
-    "variant",
-];
-
 /// The kernel-0 write strategies under measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum K0Variant {
@@ -181,7 +161,7 @@ impl Default for SweepConfig {
 }
 
 /// One measured point.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SweepRow {
     /// `"k0"` or `"k1"`.
     pub kernel: &'static str,
@@ -588,17 +568,17 @@ fn cap_json(cap: Option<u32>) -> String {
     }
 }
 
-/// Validates a `BENCH_k01.json` document against the expected schema:
-/// correct version tag, exactly [`TOP_KEYS`] at the top level, at least
-/// one result row, and exactly [`ROW_KEYS`] on every row, failing on
-/// drift in either direction (missing *or* extra keys). On top of the
-/// shape check, every row's `mb_per_s` and `gb_per_s` must agree with its
-/// own `mbytes / seconds` within 1% — a stale or hand-edited rate is
+/// Validates a `BENCH_k01.json` document: it must parse, carry this sweep's
+/// version tag and at least one row, and have exactly the top-level and
+/// row keys [`to_json`] emits for a default config and row.
+/// Every row's `mb_per_s` and `gb_per_s` must also agree with its own
+/// `mbytes / seconds` within 1% — a stale or hand-edited rate is
 /// rejected even though the shape is intact.
 pub fn check_schema(text: &str) -> Result<(), String> {
-    crate::schema::check_flat_schema(text, SCHEMA_VERSION, TOP_KEYS, ROW_KEYS)?;
+    let reference = to_json(&SweepConfig::default(), &[SweepRow::default()]);
+    let doc = crate::schema::check_flat_schema(text, &reference)?;
     crate::schema::check_rate_consistency(
-        text,
+        &doc,
         "mbytes",
         "seconds",
         &[("mb_per_s", 1.0), ("gb_per_s", 1e-3)],

@@ -28,29 +28,6 @@ use ppbench_sparse::{ops, spmv, vector, Csr, Csr32};
 /// Version tag written into the JSON so schema changes are explicit.
 pub const SCHEMA_VERSION: &str = "ppbench-k3-v2";
 
-/// Top-level keys of the benchmark file, sorted (canonical order).
-pub const TOP_KEYS: &[&str] = &[
-    "benchmark",
-    "damping",
-    "edge_factor",
-    "iterations",
-    "results",
-    "seed",
-    "trials",
-];
-
-/// Keys of each result row, sorted (canonical order).
-pub const ROW_KEYS: &[&str] = &[
-    "gflops",
-    "l1_vs_serial",
-    "nnz",
-    "scale",
-    "seconds",
-    "threads",
-    "variant",
-    "vertices",
-];
-
 /// The kernel-3 implementations under measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum K3Variant {
@@ -133,7 +110,7 @@ impl Default for SweepConfig {
 }
 
 /// One measured point.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SweepRow {
     /// Variant name (see [`K3Variant::name`]).
     pub variant: &'static str,
@@ -333,12 +310,12 @@ pub fn to_json(cfg: &SweepConfig, rows: &[SweepRow]) -> String {
     obj.render()
 }
 
-/// Validates a `BENCH_k3.json` document against the expected schema:
-/// correct version tag, exactly [`TOP_KEYS`] at the top level, at least
-/// one result row, and exactly [`ROW_KEYS`] on every row. Fails on drift
-/// in either direction (missing *or* extra keys).
+/// Validates a `BENCH_k3.json` document: it must parse, carry this sweep's
+/// version tag and at least one row, and have exactly the top-level and
+/// row keys [`to_json`] emits for a default config and row.
 pub fn check_schema(text: &str) -> Result<(), String> {
-    crate::schema::check_flat_schema(text, SCHEMA_VERSION, TOP_KEYS, ROW_KEYS)
+    let reference = to_json(&SweepConfig::default(), &[SweepRow::default()]);
+    crate::schema::check_flat_schema(text, &reference).map(drop)
 }
 
 /// Parses a comma-separated thread list (`"1,2,4,8"`), requiring every

@@ -35,28 +35,6 @@ use ppbench_sparse::Csr;
 /// Version tag written into the JSON so schema changes are explicit.
 pub const SCHEMA_VERSION: &str = "ppbench-pipeline-v1";
 
-/// Top-level keys of the benchmark file, sorted (canonical order).
-pub const TOP_KEYS: &[&str] = &[
-    "benchmark",
-    "edge_factor",
-    "num_files",
-    "results",
-    "seed",
-    "trials",
-];
-
-/// Keys of each result row, sorted (canonical order).
-pub const ROW_KEYS: &[&str] = &[
-    "edges",
-    "edges_per_s",
-    "k1_seconds",
-    "k2_seconds",
-    "mode",
-    "scale",
-    "seconds",
-    "threads",
-];
-
 /// The two K1→K2 data paths under measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PipeMode {
@@ -119,7 +97,7 @@ impl Default for SweepConfig {
 }
 
 /// One measured point.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SweepRow {
     /// Mode name (see [`PipeMode::name`]).
     pub mode: &'static str,
@@ -327,12 +305,12 @@ pub fn to_json(cfg: &SweepConfig, rows: &[SweepRow]) -> String {
     obj.render()
 }
 
-/// Validates a `BENCH_pipeline.json` document against the expected
-/// schema: correct version tag, exactly [`TOP_KEYS`] at the top level,
-/// at least one result row, and exactly [`ROW_KEYS`] on every row. Fails
-/// on drift in either direction (missing *or* extra keys).
+/// Validates a `BENCH_pipeline.json` document: it must parse, carry this sweep's
+/// version tag and at least one row, and have exactly the top-level and
+/// row keys [`to_json`] emits for a default config and row.
 pub fn check_schema(text: &str) -> Result<(), String> {
-    crate::schema::check_flat_schema(text, SCHEMA_VERSION, TOP_KEYS, ROW_KEYS)
+    let reference = to_json(&SweepConfig::default(), &[SweepRow::default()]);
+    crate::schema::check_flat_schema(text, &reference).map(drop)
 }
 
 #[cfg(test)]

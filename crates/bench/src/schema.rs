@@ -1,156 +1,54 @@
-//! Shared canonical-JSON schema validation for the bench trajectory files.
+//! Shared schema validation for the `BENCH_*.json` trajectory files.
 //!
-//! Both `BENCH_k3.json` and `BENCH_k01.json` are flat two-level documents:
-//! a top-level object with a version tag plus config keys, and a `results`
-//! array of uniform row objects. The checks here validate that shape
-//! against an expected key set, failing on drift in either direction
-//! (missing *or* extra keys), without needing a JSON parser.
+//! Every trajectory is a flat two-level document: a top-level object with
+//! a version tag (`benchmark`) plus config keys, and a `results` array of
+//! uniform row objects. Each sweep's `check_schema` hands
+//! [`check_flat_schema`] a reference document rendered by its own
+//! `to_json`, so the expected shape is derived from the emitter and the
+//! two cannot drift apart. Documents are read with the workspace's one
+//! JSON parser ([`ppbench_core::json::Json`]): truncated or malformed
+//! files fail, not just files with the wrong keys.
 
-/// Collects every JSON object key in `text` together with its brace/bracket
-/// depth (top-level object keys are depth 1). Strings are scanned with
-/// escape handling, so values containing braces cannot confuse the count.
-pub(crate) fn keys_by_depth(text: &str) -> Vec<(u32, String)> {
-    let mut out = Vec::new();
-    let bytes = text.as_bytes();
-    let mut depth = 0u32;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'{' | b'[' => {
-                depth += 1;
-                i += 1;
-            }
-            b'}' | b']' => {
-                depth = depth.saturating_sub(1);
-                i += 1;
-            }
-            b'"' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] != b'"' {
-                    if bytes[j] == b'\\' {
-                        j += 1;
-                    }
-                    j += 1;
-                }
-                let end = j.min(bytes.len());
-                let is_key = bytes.get(end + 1) == Some(&b':');
-                if is_key {
-                    out.push((depth, text[start..end].to_string()));
-                }
-                i = end + 1;
-            }
-            _ => i += 1,
-        }
-    }
-    out
-}
+use ppbench_core::json::Json;
 
-/// Validates a flat benchmark document: correct version tag, exactly
-/// `top_keys` at the top level, at least one result row, and exactly
-/// `row_keys` on every row. Both key lists must be pre-sorted (canonical
-/// order).
-pub(crate) fn check_flat_schema(
-    text: &str,
-    version: &str,
-    top_keys: &[&str],
-    row_keys: &[&str],
-) -> Result<(), String> {
-    if !text.contains(&format!("\"benchmark\":\"{version}\"")) {
+/// Parses `text` and checks it has the shape of `reference`: the same
+/// version tag, exactly the reference's top-level keys, at least one
+/// result row, and exactly the keys of the reference's first row on every
+/// row. Returns the parsed document for further checks.
+pub(crate) fn check_flat_schema(text: &str, reference: &str) -> Result<Json, String> {
+    let doc = Json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
+    let expected = Json::parse(reference).map_err(|e| format!("reference: {e}"))?;
+    let version = expected.get("benchmark").and_then(Json::as_str);
+    if doc.get("benchmark").and_then(Json::as_str) != version {
         return Err(format!("missing or wrong version tag {version:?}"));
     }
-    let keys = keys_by_depth(text);
-    let mut top: Vec<&str> = keys
-        .iter()
-        .filter(|(d, _)| *d == 1)
-        .map(|(_, k)| k.as_str())
-        .collect();
-    top.sort_unstable();
+    let (top, top_keys) = (doc.keys(), expected.keys());
     if top != top_keys {
         return Err(format!("top-level keys {top:?} != expected {top_keys:?}"));
     }
-    let row: Vec<&str> = keys
-        .iter()
-        .filter(|(d, _)| *d == 3)
-        .map(|(_, k)| k.as_str())
-        .collect();
-    if row.is_empty() {
+    let row_keys = rows(&expected)?
+        .first()
+        .ok_or("reference has no result row")?
+        .keys();
+    let rows = rows(&doc)?;
+    if rows.is_empty() {
         return Err("no result rows".to_string());
     }
-    if !row.len().is_multiple_of(row_keys.len()) {
-        return Err(format!(
-            "result rows carry {} keys total, not a multiple of {}",
-            row.len(),
-            row_keys.len()
-        ));
-    }
-    for (r, chunk) in row.chunks(row_keys.len()).enumerate() {
-        let mut got: Vec<&str> = chunk.to_vec();
-        got.sort_unstable();
+    for (r, row) in rows.iter().enumerate() {
+        let got = row.keys();
         if got != row_keys {
             return Err(format!("row {r} keys {got:?} != expected {row_keys:?}"));
         }
     }
-    Ok(())
+    Ok(doc)
 }
 
-/// Extracts the text span of every result-row object (objects at depth 3:
-/// top object → results array → row). Strings are skipped with escape
-/// handling, like [`keys_by_depth`].
-pub(crate) fn result_rows(text: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let bytes = text.as_bytes();
-    let mut depth = 0u32;
-    let mut start = None;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'{' | b'[' => {
-                if bytes[i] == b'{' && depth == 2 {
-                    start = Some(i);
-                }
-                depth += 1;
-                i += 1;
-            }
-            b'}' | b']' => {
-                depth = depth.saturating_sub(1);
-                if bytes[i] == b'}' && depth == 2 {
-                    if let Some(s) = start.take() {
-                        out.push(&text[s..=i]);
-                    }
-                }
-                i += 1;
-            }
-            b'"' => {
-                let mut j = i + 1;
-                while j < bytes.len() && bytes[j] != b'"' {
-                    if bytes[j] == b'\\' {
-                        j += 1;
-                    }
-                    j += 1;
-                }
-                i = j + 1;
-            }
-            _ => i += 1,
-        }
+/// The `results` array of a trajectory document.
+fn rows(doc: &Json) -> Result<&[Json], String> {
+    match doc.get("results") {
+        Some(Json::Array(rows)) => Ok(rows),
+        _ => Err("`results` is not an array".to_string()),
     }
-    out
-}
-
-/// Parses the numeric value of `key` inside one row's text span.
-pub(crate) fn field_f64(row: &str, key: &str) -> Result<f64, String> {
-    let pat = format!("\"{key}\":");
-    let at = row
-        .find(&pat)
-        .ok_or_else(|| format!("row is missing numeric field {key:?}"))?;
-    let rest = &row[at + pat.len()..];
-    let end = rest
-        .find([',', '}'])
-        .ok_or_else(|| format!("unterminated value for {key:?}"))?;
-    rest[..end]
-        .trim()
-        .parse::<f64>()
-        .map_err(|e| format!("field {key:?} is not a number: {e}"))
 }
 
 /// Cross-checks every result row's reported rates against its own
@@ -160,24 +58,29 @@ pub(crate) fn field_f64(row: &str, key: &str) -> Result<f64, String> {
 /// tolerance is rejected — stale or hand-edited rates cannot survive a
 /// schema check.
 pub(crate) fn check_rate_consistency(
-    text: &str,
+    doc: &Json,
     size_key: &str,
     secs_key: &str,
     rates: &[(&str, f64)],
     rel_tol: f64,
 ) -> Result<(), String> {
-    let rows = result_rows(text);
+    let rows = rows(doc)?;
     if rows.is_empty() {
         return Err("no result rows to rate-check".to_string());
     }
     for (r, row) in rows.iter().enumerate() {
-        let size = field_f64(row, size_key)?;
-        let seconds = field_f64(row, secs_key)?;
+        let field = |key: &str| {
+            row.get(key)
+                .and_then(Json::as_f64)
+                .ok_or_else(|| format!("row {r}: {key:?} is missing or not a number"))
+        };
+        let size = field(size_key)?;
+        let seconds = field(secs_key)?;
         if !seconds.is_finite() || seconds <= 0.0 {
             return Err(format!("row {r}: non-positive seconds {seconds}"));
         }
         for &(rate_key, factor) in rates {
-            let reported = field_f64(row, rate_key)?;
+            let reported = field(rate_key)?;
             let implied = size / seconds * factor;
             let rel = (reported - implied).abs() / implied.abs().max(f64::MIN_POSITIVE);
             if rel > rel_tol {
@@ -198,74 +101,58 @@ mod tests {
     use super::*;
 
     #[test]
-    fn keys_by_depth_handles_escapes_and_braces_in_values() {
-        let text = r#"{"a":"{not a key}","b":[{"c":"\"x\"","d":1}]}"#;
-        let keys = keys_by_depth(text);
-        assert_eq!(
-            keys,
-            vec![
-                (1, "a".to_string()),
-                (1, "b".to_string()),
-                (3, "c".to_string()),
-                (3, "d".to_string()),
-            ]
-        );
-    }
-
-    #[test]
     fn flat_schema_rejects_missing_and_extra_keys() {
+        let reference = r#"{"benchmark":"v1","results":[{"x":0,"y":0}]}"#;
         let good = r#"{"benchmark":"v1","results":[{"x":1,"y":2}]}"#;
-        check_flat_schema(good, "v1", &["benchmark", "results"], &["x", "y"]).unwrap();
-        assert!(check_flat_schema(good, "v2", &["benchmark", "results"], &["x", "y"]).is_err());
-        assert!(check_flat_schema(good, "v1", &["benchmark", "results"], &["x"]).is_err());
-        assert!(
-            check_flat_schema(good, "v1", &["benchmark", "extra", "results"], &["x", "y"]).is_err()
-        );
+        check_flat_schema(good, reference).unwrap();
+        let wrong_version = r#"{"benchmark":"v2","results":[{"x":1,"y":2}]}"#;
+        let missing_row_key = r#"{"benchmark":"v1","results":[{"x":1}]}"#;
+        let extra_top_key = r#"{"benchmark":"v1","extra":1,"results":[{"x":1,"y":2}]}"#;
         let empty = r#"{"benchmark":"v1","results":[]}"#;
-        assert!(check_flat_schema(empty, "v1", &["benchmark", "results"], &["x", "y"]).is_err());
-    }
-
-    #[test]
-    fn result_rows_extracts_each_depth_3_object() {
-        let text = r#"{"benchmark":"v1","results":[{"a":1,"b":"x}y"},{"a":2,"b":"z"}]}"#;
-        let rows = result_rows(text);
-        assert_eq!(rows, vec![r#"{"a":1,"b":"x}y"}"#, r#"{"a":2,"b":"z"}"#]);
-        assert!(result_rows(r#"{"benchmark":"v1","results":[]}"#).is_empty());
-    }
-
-    #[test]
-    fn field_f64_parses_and_reports_missing_fields() {
-        let row = r#"{"mbytes":12.5,"seconds":0.25,"gen":"linear"}"#;
-        assert_eq!(field_f64(row, "mbytes").unwrap(), 12.5);
-        assert_eq!(field_f64(row, "seconds").unwrap(), 0.25);
-        assert!(field_f64(row, "absent").is_err());
-        assert!(field_f64(row, "gen").is_err());
+        // Right keys, but not a JSON document.
+        let truncated = r#"{"benchmark":"v1","results":[{"x":1,"y":2}]"#;
+        let garbage_values = r#"{"benchmark":"v1","results":[{"x":1.2.3,"y":nope}]}"#;
+        for bad in [
+            wrong_version,
+            missing_row_key,
+            extra_top_key,
+            empty,
+            truncated,
+            garbage_values,
+        ] {
+            assert!(check_flat_schema(bad, reference).is_err(), "accepted {bad}");
+        }
     }
 
     #[test]
     fn rate_consistency_accepts_true_rates_and_rejects_drifted_ones() {
         let rates: &[(&str, f64)] = &[("mb_per_s", 1.0), ("gb_per_s", 1e-3)];
+        let check = |text: &str| {
+            let doc = Json::parse(text).unwrap();
+            check_rate_consistency(&doc, "mbytes", "seconds", rates, 0.01)
+        };
         let good = concat!(
             r#"{"benchmark":"v1","results":["#,
             r#"{"mbytes":10.0,"seconds":2.0,"mb_per_s":5.0,"gb_per_s":0.005}]}"#
         );
-        check_rate_consistency(good, "mbytes", "seconds", rates, 0.01).unwrap();
+        check(good).unwrap();
 
         // A rate off by 4% must be rejected; one off by 0.4% must pass.
         let drifted = good.replace("\"mb_per_s\":5.0", "\"mb_per_s\":5.2");
-        let err = check_rate_consistency(&drifted, "mbytes", "seconds", rates, 0.01).unwrap_err();
+        let err = check(&drifted).unwrap_err();
         assert!(err.contains("mb_per_s"), "{err}");
         let close = good.replace("\"mb_per_s\":5.0", "\"mb_per_s\":5.02");
-        check_rate_consistency(&close, "mbytes", "seconds", rates, 0.01).unwrap();
+        check(&close).unwrap();
 
         // Both rates are checked independently.
         let bad_gb = good.replace("\"gb_per_s\":0.005", "\"gb_per_s\":0.006");
-        assert!(check_rate_consistency(&bad_gb, "mbytes", "seconds", rates, 0.01).is_err());
+        assert!(check(&bad_gb).is_err());
 
         // Degenerate rows cannot slip through.
         let zero_secs = good.replace("\"seconds\":2.0", "\"seconds\":0.0");
-        assert!(check_rate_consistency(&zero_secs, "mbytes", "seconds", rates, 0.01).is_err());
-        let no_rows = r#"{"benchmark":"v1","results":[]}"#;
-        assert!(check_rate_consistency(no_rows, "mbytes", "seconds", rates, 0.01).is_err());
+        assert!(check(&zero_secs).is_err());
+        let text_rate = good.replace("\"mb_per_s\":5.0", "\"mb_per_s\":\"5.0\"");
+        assert!(check(&text_rate).is_err());
+        assert!(check(r#"{"benchmark":"v1","results":[]}"#).is_err());
     }
 }

@@ -32,35 +32,12 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ppbench_core::json::{JsonArray, JsonObject};
+use ppbench_core::json::{Json, JsonArray, JsonObject};
 use ppbench_serve::loadgen::{run_load, LoadConfig, LoadReport};
-use ppbench_serve::{http_request, HttpServer, Json, Service, ServiceConfig};
+use ppbench_serve::{http_request, HttpServer, Service, ServiceConfig};
 
 /// Version tag written into the JSON so schema changes are explicit.
 pub const SCHEMA_VERSION: &str = "ppbench-serve-v1";
-
-/// Top-level keys of the benchmark file, sorted (canonical order).
-pub const TOP_KEYS: &[&str] = &[
-    "benchmark",
-    "edge_factor",
-    "results",
-    "scale",
-    "seed",
-    "workers",
-];
-
-/// Keys of each result row, sorted (canonical order).
-pub const ROW_KEYS: &[&str] = &[
-    "achieved_rps",
-    "errors",
-    "max_concurrent",
-    "mode",
-    "offered_rps",
-    "p50_ms",
-    "p99_ms",
-    "requests",
-    "seconds",
-];
 
 /// What to sweep.
 #[derive(Debug, Clone)]
@@ -101,7 +78,7 @@ impl Default for SweepConfig {
 }
 
 /// One measured point.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SweepRow {
     /// `"open"` (fixed-rate arrivals) or `"burst"` (all at once).
     pub mode: &'static str,
@@ -390,14 +367,16 @@ pub fn to_json(cfg: &SweepConfig, rows: &[SweepRow]) -> String {
     obj.render()
 }
 
-/// Validates a `BENCH_serve.json` document: correct version tag, exactly
-/// [`TOP_KEYS`] at the top level, at least one result row with exactly
-/// [`ROW_KEYS`], and every row's `achieved_rps` consistent with its own
+/// Validates a `BENCH_serve.json` document: it must parse, carry this sweep's
+/// version tag and at least one row, and have exactly the top-level and
+/// row keys [`to_json`] emits for a default config and row.
+/// Every row's `achieved_rps` must also agree with its own
 /// `requests / seconds` (stale or hand-edited rates are rejected).
 pub fn check_schema(text: &str) -> Result<(), String> {
-    crate::schema::check_flat_schema(text, SCHEMA_VERSION, TOP_KEYS, ROW_KEYS)?;
+    let reference = to_json(&SweepConfig::default(), &[SweepRow::default()]);
+    let doc = crate::schema::check_flat_schema(text, &reference)?;
     crate::schema::check_rate_consistency(
-        text,
+        &doc,
         "requests",
         "seconds",
         &[("achieved_rps", 1.0)],

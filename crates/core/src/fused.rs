@@ -347,6 +347,60 @@ mod tests {
         assert!(err.to_string().contains("digest"), "{err}");
     }
 
+    /// Every regular file under `dir`, recursively.
+    fn files_under(dir: &Path) -> Vec<std::path::PathBuf> {
+        let mut out = Vec::new();
+        for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                out.extend(files_under(&path));
+            } else {
+                out.push(path);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn spilled_runs_are_removed_when_the_pass_fails() {
+        let scale = 6u32;
+        let edges: Vec<Edge> = (0..400).map(|i| Edge::new(i % 64, (i * 7) % 64)).collect();
+        let cfg = PipelineConfig::builder()
+            .scale(scale)
+            .sort_budget_bytes(256)
+            .build();
+
+        // Tampered digest: the error surfaces after every run has spilled.
+        let td = TempDir::new("ppbench-fused").unwrap();
+        write_input(&td.join("k0"), &edges, scale);
+        let mut m = Manifest::load(&td.join("k0")).unwrap();
+        m.digest.sum = m.digest.sum.wrapping_add(1);
+        m.save(&td.join("k0")).unwrap();
+        let err = kernel12(&cfg, &td.join("k0"), &td.join("scratch")).unwrap_err();
+        assert!(err.to_string().contains("digest"), "{err}");
+        let left = files_under(&td.join("scratch"));
+        assert!(left.is_empty(), "run files leaked: {left:?}");
+
+        // Out-of-bound vertex: the error surfaces mid-routing.
+        let td = TempDir::new("ppbench-fused").unwrap();
+        let mut hostile = edges.clone();
+        hostile.push(Edge::new(64, 0));
+        ppbench_io::write_edges(
+            &td.join("k0"),
+            "edges",
+            1,
+            &hostile,
+            Some(scale),
+            Some(128),
+            SortState::Unsorted,
+        )
+        .unwrap();
+        let err = kernel12(&cfg, &td.join("k0"), &td.join("scratch")).unwrap_err();
+        assert!(err.to_string().contains("vertex bound"), "{err}");
+        let left = files_under(&td.join("scratch"));
+        assert!(left.is_empty(), "run files leaked: {left:?}");
+    }
+
     #[test]
     fn hostile_manifest_edge_count_rejected_before_allocating() {
         let td = TempDir::new("ppbench-fused").unwrap();

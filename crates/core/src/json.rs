@@ -1,8 +1,10 @@
-//! Canonical JSON writer: byte-deterministic serialization for every
-//! machine-readable surface (`pprank --json`, run records, the service
-//! API's record payloads).
+//! The workspace's one JSON codec: a canonical, byte-deterministic
+//! writer for every machine-readable surface (`pprank --json`, run
+//! records, the service API's payloads, the `BENCH_*.json` trajectories)
+//! and a recursive-descent parser for everything read back (service
+//! request bodies, the disk result cache, the bench schema gates).
 //!
-//! Two rules make the output canonical:
+//! Two rules make the written output canonical:
 //!
 //! * **Object keys render sorted** (bytewise), whatever order they were
 //!   inserted in — so the same logical record is the same byte string no
@@ -17,9 +19,13 @@
 //! are non-reproducible would fail its own determinism bar. Analogue of
 //! the kernel-side invariant enforced by `ppbench-analyze`'s
 //! `hash-iteration` rule.
+//!
+//! The parser reads untrusted input (HTTP bodies), so its recursion is
+//! capped at [`MAX_DEPTH`] levels: a deeply nested document is a
+//! [`ParseError`], never a stack overflow.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Escapes `s` into JSON string syntax, including the surrounding quotes.
 ///
@@ -162,6 +168,331 @@ impl JsonArray {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Real documents
+/// here nest a few levels; the cap keeps hostile input from
+/// exhausting the stack of the thread that parses it.
+pub const MAX_DEPTH: usize = 128;
+
+/// A parsed JSON value. Object keys are kept in a sorted map, which makes
+/// request canonicalization (field-order independence) automatic.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool(bool),
+    /// A non-negative integer written without a fraction or exponent,
+    /// kept lossless so values above 2^53 (e.g. 64-bit seeds) survive
+    /// parsing exactly.
+    Uint(u64),
+    /// Any other number (fractions, exponents, negatives).
+    Number(f64),
+    /// String.
+    String(String),
+    /// Array.
+    Array(Vec<Json>),
+    /// Object.
+    Object(BTreeMap<String, Json>),
+}
+
+impl Json {
+    /// Parses one JSON document; trailing non-whitespace is an error.
+    pub fn parse(text: &str) -> Result<Json, ParseError> {
+        let mut p = Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
+        p.skip_ws();
+        let value = p.value()?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(p.err("trailing characters after JSON value"));
+        }
+        Ok(value)
+    }
+
+    /// Object member lookup; `None` for non-objects or missing keys.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Object(members) => members.get(key),
+            _ => None,
+        }
+    }
+
+    /// The value as a `u64` if it is a non-negative integral number.
+    /// Float-syntax integers above 2^53 are rejected rather than silently
+    /// rounded to the nearest representable f64.
+    pub fn as_u64(&self) -> Option<u64> {
+        const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+        match self {
+            Json::Uint(n) => Some(*n),
+            Json::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT => Some(*n as u64),
+            _ => None,
+        }
+    }
+
+    /// The value as an `f64` number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Uint(n) => Some(*n as f64),
+            Json::Number(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The value as a string slice.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::String(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value as a bool.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// Object member names, sorted; empty for non-objects.
+    pub fn keys(&self) -> Vec<&str> {
+        match self {
+            Json::Object(members) => members.keys().map(String::as_str).collect(),
+            _ => Vec::new(),
+        }
+    }
+}
+
+/// Parse failure: message plus byte offset.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseError {
+    /// What went wrong.
+    pub message: String,
+    /// Byte offset in the input.
+    pub offset: usize,
+}
+
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} at byte {}", self.message, self.offset)
+    }
+}
+
+impl std::error::Error for ParseError {}
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
+}
+
+impl Parser<'_> {
+    fn err(&self, message: &str) -> ParseError {
+        ParseError {
+            message: message.to_string(),
+            offset: self.pos,
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn consume(&mut self, b: u8) -> Result<(), ParseError> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.err(&format!("expected '{}'", b as char)))
+        }
+    }
+
+    fn literal(&mut self, text: &str, value: Json) -> Result<Json, ParseError> {
+        let matches = self
+            .bytes
+            .get(self.pos..)
+            .is_some_and(|rest| rest.starts_with(text.as_bytes()));
+        if matches {
+            self.pos += text.len();
+            Ok(value)
+        } else {
+            Err(self.err(&format!("expected '{text}'")))
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, ParseError> {
+        match self.peek() {
+            Some(b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let nested = if self.peek() == Some(b'{') {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                nested
+            }
+            Some(b'"') => Ok(Json::String(self.string()?)),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            _ => Err(self.err("expected a JSON value")),
+        }
+    }
+
+    fn object(&mut self) -> Result<Json, ParseError> {
+        self.consume(b'{')?;
+        let mut members = BTreeMap::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Object(members));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.consume(b':')?;
+            self.skip_ws();
+            let value = self.value()?;
+            if members.insert(key, value).is_some() {
+                return Err(self.err("duplicate object key"));
+            }
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Object(members));
+                }
+                _ => return Err(self.err("expected ',' or '}'")),
+            }
+        }
+    }
+
+    fn array(&mut self) -> Result<Json, ParseError> {
+        self.consume(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Array(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Json::Array(items));
+                }
+                _ => return Err(self.err("expected ',' or ']'")),
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, ParseError> {
+        self.consume(b'"')?;
+        let mut out = String::new();
+        loop {
+            match self.peek() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    let escaped = self.peek().ok_or_else(|| self.err("dangling escape"))?;
+                    self.pos += 1;
+                    match escaped {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'b' => out.push('\u{0008}'),
+                        b'f' => out.push('\u{000C}'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'u' => {
+                            let hex = self
+                                .bytes
+                                .get(self.pos..self.pos + 4)
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
+                            self.pos += 4;
+                            // Surrogate pairs are out of scope for this
+                            // API's config payloads; reject them plainly.
+                            let ch = char::from_u32(hex)
+                                .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
+                            out.push(ch);
+                        }
+                        _ => return Err(self.err("unknown escape")),
+                    }
+                }
+                Some(byte) if byte < 0x20 => return Err(self.err("control byte in string")),
+                Some(_) => {
+                    // Copy one UTF-8 character verbatim.
+                    let rest = self.bytes.get(self.pos..).unwrap_or_default();
+                    let text = std::str::from_utf8(rest)
+                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
+                    let ch = text
+                        .chars()
+                        .next()
+                        .ok_or_else(|| self.err("unterminated string"))?;
+                    out.push(ch);
+                    self.pos += ch.len_utf8();
+                }
+            }
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, ParseError> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
+            self.pos += 1;
+        }
+        let text = self
+            .bytes
+            .get(start..self.pos)
+            .and_then(|t| std::str::from_utf8(t).ok())
+            .ok_or_else(|| self.err("malformed number"))?;
+        // Plain non-negative integers stay lossless; everything else
+        // (fractions, exponents, negatives, > u64::MAX) becomes f64.
+        if !text.contains(['.', 'e', 'E', '-']) {
+            if let Ok(n) = text.parse::<u64>() {
+                return Ok(Json::Uint(n));
+            }
+        }
+        text.parse::<f64>()
+            .map(Json::Number)
+            .map_err(|_| self.err("malformed number"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,5 +552,102 @@ mod tests {
             outer.render(),
             "{\"error\":null,\"timing\":{\"seconds\":0.25}}"
         );
+    }
+
+    #[test]
+    fn parses_nested_documents() {
+        let doc = r#"{"a": [1, 2.5, -3e2], "b": {"c": true, "d": null}, "s": "x\ny"}"#;
+        let v = Json::parse(doc).unwrap();
+        assert_eq!(
+            v.get("a"),
+            Some(&Json::Array(vec![
+                Json::Uint(1),
+                Json::Number(2.5),
+                Json::Number(-300.0),
+            ]))
+        );
+        assert_eq!(
+            v.get("b").and_then(|b| b.get("c")).and_then(Json::as_bool),
+            Some(true)
+        );
+        assert_eq!(v.get("s").and_then(Json::as_str), Some("x\ny"));
+    }
+
+    #[test]
+    fn key_order_does_not_matter() {
+        let a = Json::parse(r#"{"x": 1, "y": 2}"#).unwrap();
+        let b = Json::parse(r#"{"y": 2, "x": 1}"#).unwrap();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn rejects_malformed_input() {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "\"abc",
+            "{\"a\" 1}",
+            "tru",
+            "1 2",
+            "{\"a\":1,\"a\":2}",
+            "\"\\q\"",
+            "nan",
+        ] {
+            assert!(Json::parse(bad).is_err(), "should reject {bad:?}");
+        }
+    }
+
+    #[test]
+    fn numbers_convert_conservatively() {
+        assert_eq!(Json::parse("7").unwrap().as_u64(), Some(7));
+        assert_eq!(Json::parse("-7").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("7.5").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("7.5").unwrap().as_f64(), Some(7.5));
+        assert_eq!(Json::parse("7").unwrap().as_f64(), Some(7.0));
+        // Integer-valued float syntax still converts while exact.
+        assert_eq!(Json::parse("1e2").unwrap().as_u64(), Some(100));
+    }
+
+    #[test]
+    fn integers_above_2_pow_53_are_lossless() {
+        // 2^53 + 1 rounds to 2^53 as f64; the parser must not go through
+        // f64 for plain integers.
+        let v = Json::parse("9007199254740993").unwrap();
+        assert_eq!(v, Json::Uint(9_007_199_254_740_993));
+        assert_eq!(v.as_u64(), Some(9_007_199_254_740_993));
+        let max = u64::MAX.to_string();
+        assert_eq!(Json::parse(&max).unwrap().as_u64(), Some(u64::MAX));
+        // Beyond u64 the value cannot be exact; as_u64 must refuse rather
+        // than saturate, and so must float-syntax integers above 2^53.
+        assert_eq!(Json::parse("18446744073709551616").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("1e16").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn escaped_strings_round_trip_through_parse() {
+        let nasty = "a\"b\\c\nd\te\u{1}f";
+        let doc = format!("{{\"k\":{}}}", escape_string(nasty));
+        let v = Json::parse(&doc).unwrap();
+        assert_eq!(v.get("k").and_then(Json::as_str), Some(nasty));
+    }
+
+    #[test]
+    fn unicode_passes_through() {
+        let v = Json::parse("\"héllo → wörld\"").unwrap();
+        assert_eq!(v.as_str(), Some("héllo → wörld"));
+    }
+
+    #[test]
+    fn nesting_beyond_max_depth_is_an_error_not_a_stack_overflow() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&over).is_err());
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
+        // Far past the cap, as a hostile request body would be.
+        let err = Json::parse(&"[".repeat(60_000)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
     }
 }

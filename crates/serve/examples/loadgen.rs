@@ -16,8 +16,9 @@
 
 use std::time::{Duration, Instant};
 
+use ppbench_core::json::Json;
+use ppbench_serve::http_request;
 use ppbench_serve::loadgen::{run_load, LoadConfig};
-use ppbench_serve::{http_request, Json};
 
 fn main() {
     let mut addr = "127.0.0.1:7878".to_string();

@@ -19,10 +19,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::SystemTime;
 
+use ppbench_core::json::Json;
 use ppbench_core::RunRecord;
 
 use crate::job::RunSummary;
-use crate::json::Json;
 
 /// LRU map from canonical config hash to run summary, bounded by an
 /// approximate byte budget rather than an entry count (rank vectors grow

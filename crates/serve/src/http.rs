@@ -20,8 +20,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ppbench_core::json::{escape_string, Json};
+
 use crate::job::{Job, JobState};
-use crate::json::{self, Json};
 use crate::metrics::Metrics;
 use crate::request::config_from_json;
 use crate::service::{CancelOutcome, Service, SubmitError};
@@ -566,10 +567,7 @@ impl Response {
     }
 
     fn error(status: u16, message: &str) -> Self {
-        Self::json(
-            status,
-            format!("{{\"error\":\"{}\"}}", json::escape(message)),
-        )
+        Self::json(status, format!("{{\"error\":{}}}", escape_string(message)))
     }
 
     fn render(&self) -> String {
@@ -767,7 +765,7 @@ fn job_json(job: &Job) -> String {
         ));
     }
     if let Some(error) = &job.error {
-        out.push_str(&format!(",\"error\":\"{}\"", json::escape(error)));
+        out.push_str(&format!(",\"error\":{}", escape_string(error)));
     }
     out.push('}');
     out

@@ -5,11 +5,10 @@
 //! are checked here with proper errors instead of letting the builder
 //! panic inside a worker.
 
+use ppbench_core::json::Json;
 use ppbench_core::{DanglingStrategy, PipelineConfig, ValidationLevel, Variant, Workload};
 use ppbench_gen::{GeneratorKind, RmatSampler};
 use ppbench_sort::SortKey;
-
-use crate::json::Json;
 
 /// Fields `POST /runs` accepts, mirroring `PipelineConfig` one to one —
 /// except `input_tsv`, which is deliberately not exposed: letting HTTP

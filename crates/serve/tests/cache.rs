@@ -6,11 +6,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use ppbench_core::json::Json;
 use ppbench_core::{DanglingStrategy, PipelineConfig, ValidationLevel, Variant};
 use ppbench_gen::GeneratorKind;
-use ppbench_serve::{
-    config_from_json, JobState, Json, ResultCache, RunSummary, Service, ServiceConfig,
-};
+use ppbench_serve::{config_from_json, JobState, ResultCache, RunSummary, Service, ServiceConfig};
 use ppbench_sort::SortKey;
 
 fn parse(body: &str) -> PipelineConfig {

@@ -192,6 +192,19 @@ fn malformed_request_line_gets_a_quoted_400_diagnostic() {
 }
 
 #[test]
+fn deeply_nested_body_is_a_400_and_the_server_lives_on() {
+    let mut server = TestServer::start(ServerConfig::default());
+    // Under the body-size cap, but far deeper than the parser's nesting cap.
+    let body = "[".repeat(60_000);
+    let reply = http_request(server.addr, "POST", "/runs", Some(&body)).expect("POST /runs");
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    assert!(reply.body.contains("nesting"), "{}", reply.body);
+    let health = http_request(server.addr, "GET", "/healthz", None).expect("GET /healthz");
+    assert_eq!(health.status, 200, "{}", health.body);
+    server.shutdown();
+}
+
+#[test]
 fn connections_in_flight_at_shutdown_still_get_their_response() {
     let mut server = TestServer::start(ServerConfig::default());
     // Open a connection and send only part of the request.

@@ -6,8 +6,9 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ppbench_core::json::Json;
 use ppbench_core::{Pipeline, PipelineConfig};
-use ppbench_serve::{http_request, HttpServer, Json, Service, ServiceConfig};
+use ppbench_serve::{http_request, HttpServer, Service, ServiceConfig};
 
 struct TestServer {
     addr: SocketAddr,

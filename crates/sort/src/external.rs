@@ -146,7 +146,7 @@ impl ExternalSorter {
             budget_edges: self.budget_edges,
             key: self.key,
             buffer: Vec::with_capacity(self.budget_edges.min(1 << 20)),
-            run_dirs: Vec::new(),
+            run_dirs: RunDirs::default(),
             stats: ExternalStats::default(),
         })
     }
@@ -171,16 +171,34 @@ impl ExternalSorter {
     }
 }
 
+/// Spilled run directories with exactly one owner at a time: the
+/// [`RunWriter`] that spilled them, then the sealed [`RunSet`], then the
+/// [`MergeStream`] reading them. Whichever holds them when it is dropped
+/// removes them, so an error anywhere between spill and merge leaves no
+/// run files behind.
+#[derive(Debug, Default)]
+struct RunDirs(Vec<PathBuf>);
+
+impl Drop for RunDirs {
+    fn drop(&mut self) {
+        for dir in &self.0 {
+            // ppbench: allow(discarded-result, reason = "best-effort scratch cleanup; the sort already succeeded or failed")
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
 /// Accumulates edges for an out-of-core sort, spilling a sorted run
 /// whenever the budget fills. Created by [`ExternalSorter::run_writer`];
-/// sealed into a [`RunSet`] by [`RunWriter::finish`].
+/// sealed into a [`RunSet`] by [`RunWriter::finish`]. Dropping an unsealed
+/// writer removes the runs it spilled.
 #[derive(Debug)]
 pub struct RunWriter {
     scratch_dir: PathBuf,
     budget_edges: usize,
     key: SortKey,
     buffer: Vec<Edge>,
-    run_dirs: Vec<PathBuf>,
+    run_dirs: RunDirs,
     stats: ExternalStats,
 }
 
@@ -207,7 +225,7 @@ impl RunWriter {
     /// directories, so it is cheap to move across threads.
     pub fn finish(mut self) -> Result<RunSet> {
         self.stats.peak_buffer = self.stats.peak_buffer.max(self.buffer.len());
-        if self.run_dirs.is_empty() {
+        if self.run_dirs.0.is_empty() {
             self.stats.runs = usize::from(!self.buffer.is_empty());
             let workers = rayon::current_num_threads().max(1);
             let store = if workers <= 1 || self.buffer.len() < PAR_SORT_MIN {
@@ -241,13 +259,13 @@ impl RunWriter {
         self.stats.peak_buffer = self.stats.peak_buffer.max(self.buffer.len());
         let dir = self
             .scratch_dir
-            .join(format!("run-{:05}", self.run_dirs.len()));
+            .join(format!("run-{:05}", self.run_dirs.0.len()));
         // Scratch runs are re-read immediately and deleted after the merge;
         // fsyncing them would only tax the spill path.
         let mut w = EdgeWriter::create(&dir, "run", 1, self.buffer.len() as u64)?.durable(false);
         sort_stably_into(&mut self.buffer, self.key, |e| w.write(e))?;
         w.finish(None, None, self.key.sort_state())?;
-        self.run_dirs.push(dir);
+        self.run_dirs.0.push(dir);
         self.stats.runs += 1;
         self.buffer.clear();
         Ok(())
@@ -258,6 +276,7 @@ impl RunWriter {
 /// the directories of spilled runs. `Send`, so a set written on one thread
 /// can be merged on another — the fused kernel-2 path seals one set per
 /// vertex-range bucket and opens each stream inside its own worker.
+/// Dropping a set that was never opened removes its runs.
 #[derive(Debug)]
 pub struct RunSet {
     store: RunStore,
@@ -268,7 +287,7 @@ pub struct RunSet {
 #[derive(Debug)]
 enum RunStore {
     Memory(Vec<Edge>),
-    Disk(Vec<PathBuf>),
+    Disk(RunDirs),
 }
 
 impl RunSet {
@@ -281,10 +300,10 @@ impl RunSet {
     pub fn into_stream(self) -> Result<MergeStream> {
         let err: Rc<RefCell<Option<Error>>> = Rc::new(RefCell::new(None));
         let (inner, run_dirs) = match self.store {
-            RunStore::Memory(buffer) => (StreamInner::Mem(buffer.into_iter()), Vec::new()),
+            RunStore::Memory(buffer) => (StreamInner::Mem(buffer.into_iter()), RunDirs::default()),
             RunStore::Disk(dirs) => {
-                let mut runs: Vec<RunIter> = Vec::with_capacity(dirs.len());
-                for dir in &dirs {
+                let mut runs: Vec<RunIter> = Vec::with_capacity(dirs.0.len());
+                for dir in &dirs.0 {
                     let (_, iter) = EdgeReader::open_dir(dir)?;
                     let cell = Rc::clone(&err);
                     runs.push(Box::new(iter.map_while(move |r| match r {
@@ -313,7 +332,7 @@ impl RunSet {
         Ok(MergeStream {
             inner,
             err,
-            run_dirs,
+            _run_dirs: run_dirs,
             failed: false,
         })
     }
@@ -332,9 +351,11 @@ enum StreamInner {
 /// `Err` items (at most one edge late); after the first error the stream
 /// fuses shut. Dropping the stream removes the spilled run files.
 pub struct MergeStream {
+    // Field order is drop order: close the run readers before removing
+    // their directories (held only to be removed on drop).
     inner: StreamInner,
     err: Rc<RefCell<Option<Error>>>,
-    run_dirs: Vec<PathBuf>,
+    _run_dirs: RunDirs,
     failed: bool,
 }
 
@@ -371,15 +392,6 @@ impl Iterator for MergeStream {
             StreamInner::Mem(it) => it.size_hint(),
             StreamInner::Two(m) => (0, m.size_hint().1),
             StreamInner::Heap(m) => (0, m.size_hint().1),
-        }
-    }
-}
-
-impl Drop for MergeStream {
-    fn drop(&mut self) {
-        for dir in &self.run_dirs {
-            // ppbench: allow(discarded-result, reason = "best-effort scratch cleanup; the merge already succeeded or failed")
-            let _ = std::fs::remove_dir_all(dir);
         }
     }
 }
