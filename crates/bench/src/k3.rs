@@ -2,12 +2,11 @@
 //!
 //! The paper's compute-bound kernel is the one expected to "show a wider
 //! dispersion in performance" once parallelized (§IV.D), so this module
-//! measures exactly that axis: the historical scatter and gather forms,
-//! the row-parallel gather (nnz-balanced ranges writing into one reused
-//! output allocation), and the nnz-balanced fused kernels (wide and
-//! narrow indices) the hot path now uses — each swept over explicit
-//! thread counts, keeping the fastest of `trials` repetitions per point
-//! so one scheduler hiccup cannot masquerade as a scaling regression.
+//! measures exactly that axis: the serial scatter and gather forms and the
+//! nnz-balanced fused kernel over narrow indices that the parallel backend
+//! runs — the parallel one swept over explicit thread counts, keeping the
+//! fastest of `trials` repetitions per point so one scheduler hiccup
+//! cannot masquerade as a scaling regression.
 //! Results land in `BENCH_k3.json` as
 //! canonical JSON (sorted keys, shortest-roundtrip floats, rendered by
 //! `ppbench_core::json`), giving later PRs a baseline to beat; the
@@ -35,22 +34,16 @@ pub enum K3Variant {
     Scatter,
     /// Serial gather over the precomputed transpose.
     Gather,
-    /// Row-parallel gather over the transpose: nnz-balanced row ranges
-    /// gathered into a single output allocation per call.
-    ParGather,
-    /// nnz-balanced fused kernel over wide (`u64`) column indices.
-    BalancedFusedU64,
-    /// nnz-balanced fused kernel over narrow (`u32`) column indices.
+    /// nnz-balanced fused kernel over narrow (`u32`) column indices — the
+    /// parallel backend's kernel.
     BalancedFusedU32,
 }
 
 impl K3Variant {
     /// Every variant, measurement order.
-    pub const ALL: [K3Variant; 5] = [
+    pub const ALL: [K3Variant; 3] = [
         K3Variant::Scatter,
         K3Variant::Gather,
-        K3Variant::ParGather,
-        K3Variant::BalancedFusedU64,
         K3Variant::BalancedFusedU32,
     ];
 
@@ -59,8 +52,6 @@ impl K3Variant {
         match self {
             K3Variant::Scatter => "scatter",
             K3Variant::Gather => "gather",
-            K3Variant::ParGather => "par_gather",
-            K3Variant::BalancedFusedU64 => "balanced_fused_u64",
             K3Variant::BalancedFusedU32 => "balanced_fused_u32",
         }
     }
@@ -68,10 +59,7 @@ impl K3Variant {
     /// Whether the variant uses the thread pool (serial variants are
     /// measured once, at `threads = 1`).
     pub fn is_parallel(self) -> bool {
-        matches!(
-            self,
-            K3Variant::ParGather | K3Variant::BalancedFusedU64 | K3Variant::BalancedFusedU32
-        )
+        matches!(self, K3Variant::BalancedFusedU32)
     }
 }
 
@@ -137,8 +125,8 @@ pub fn build_matrix(scale: u32, edge_factor: u64, seed: u64) -> Csr<f64> {
     let spec = GraphSpec::new(scale, edge_factor);
     let mut edges = Kronecker::new(spec, seed).edges();
     ppbench_sort::radix_sort(&mut edges, SortKey::Start);
-    let tuples: Vec<(u64, u64)> = edges.iter().map(|e| (e.u, e.v)).collect();
-    let counts = Csr::<u64>::from_sorted_edges(spec.num_vertices(), &tuples);
+    let counts =
+        Csr::<u64>::from_sorted_edges(spec.num_vertices(), edges.iter().map(|e| (e.u, e.v)));
     ops::normalize_rows(&counts)
 }
 
@@ -182,19 +170,7 @@ fn run_variant(
         ),
         K3Variant::Gather => kernel3::run_into(
             r0,
-            kernel3::serial_stepper(|x: &[f64]| spmv::vxm_gather(x, &fx.at)),
-            &fx.dangling,
-            &fx.opts,
-        ),
-        K3Variant::ParGather => kernel3::run_into(
-            r0,
-            kernel3::serial_stepper(|x: &[f64]| spmv::par_vxm_gather(x, &fx.at)),
-            &fx.dangling,
-            &fx.opts,
-        ),
-        K3Variant::BalancedFusedU64 => kernel3::run_into(
-            r0,
-            |r, next, coeffs| spmv::step_fused(r, &fx.at.view(), next, coeffs, &boundaries),
+            kernel3::serial_stepper(|x: &[f64]| spmv::mxv(&fx.at, x)),
             &fx.dangling,
             &fx.opts,
         ),
@@ -355,8 +331,8 @@ mod tests {
     fn sweep_covers_every_variant_and_agrees_with_serial() {
         let cfg = tiny_cfg();
         let rows = run_sweep(&cfg).unwrap();
-        // 2 serial rows + 3 parallel variants × 2 thread counts.
-        assert_eq!(rows.len(), 2 + 3 * 2);
+        // 2 serial rows + the parallel variant × 2 thread counts.
+        assert_eq!(rows.len(), 2 + 2);
         for v in K3Variant::ALL {
             assert!(
                 rows.iter().any(|r| r.variant == v.name()),
@@ -390,7 +366,7 @@ mod tests {
             ..tiny_cfg()
         };
         let rows = run_sweep(&cfg).unwrap();
-        assert_eq!(rows.len(), 2 + 3 * 2);
+        assert_eq!(rows.len(), 2 + 2);
         for row in &rows {
             assert!(row.l1_vs_serial < 1e-12, "{row:?}");
         }

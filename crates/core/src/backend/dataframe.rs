@@ -12,10 +12,12 @@ use std::path::Path;
 
 use ppbench_frame::{frame_from_edges, read_edge_tsv, write_edge_tsv};
 use ppbench_gen::EdgeGenerator;
-use ppbench_io::Manifest;
+use ppbench_io::{Edge, Manifest};
 use ppbench_sparse::{graphblas, ops, Coo, Csr};
 
-use crate::backend::{require_sorted, Backend, Kernel2Output};
+use crate::backend::{
+    require_in_bounds, require_sorted, within_manifest_bound, Backend, Kernel2Output,
+};
 use crate::config::PipelineConfig;
 use crate::error::Result;
 use crate::kernel2::FilterStats;
@@ -46,6 +48,10 @@ impl Backend for DataframeBackend {
     fn kernel1(&self, cfg: &PipelineConfig, in_dir: &Path, out_dir: &Path) -> Result<Manifest> {
         let in_manifest = Manifest::load(in_dir)?;
         let frame = read_edge_tsv(in_dir)?;
+        let (us, vs) = (frame.column("u")?.as_u64()?, frame.column("v")?.as_u64()?);
+        for (&u, &v) in us.iter().zip(vs) {
+            within_manifest_bound(Edge::new(u, v), &in_manifest, in_dir)?;
+        }
         let sorted = match cfg.sort_key {
             ppbench_sort::SortKey::Start => frame.sort_by(&["u"])?,
             ppbench_sort::SortKey::StartEnd => frame.sort_by(&["u", "v"])?,
@@ -66,6 +72,10 @@ impl Backend for DataframeBackend {
         let n = cfg.spec.num_vertices();
         let frame = read_edge_tsv(in_dir)?;
         let total_edges = frame.rows() as u64;
+        let (us, vs) = (frame.column("u")?.as_u64()?, frame.column("v")?.as_u64()?);
+        for (&u, &v) in us.iter().zip(vs) {
+            require_in_bounds(Edge::new(u, v), n, in_dir)?;
+        }
 
         // din = value_counts(v): the weighted in-degree, columnar.
         let din = frame.group_by_count("v", n)?;
@@ -81,8 +91,7 @@ impl Backend for DataframeBackend {
         let leaf_columns = din.iter().filter(|&&d| d == 1).count() as u64;
 
         // Boolean mask over rows: keep edges whose *end* is not killed.
-        let ends = frame.column("v")?.as_u64()?;
-        let keep: Vec<bool> = ends.iter().map(|&v| !kill[v as usize]).collect();
+        let keep: Vec<bool> = vs.iter().map(|&v| !kill[v as usize]).collect();
         let nnz_before = frame.distinct_rows(&["u", "v"])?;
         let filtered = frame.filter(&keep)?;
 
@@ -123,10 +132,10 @@ impl Backend for DataframeBackend {
         // operations over the GraphBLAS layer (vxm visits entries in
         // row-major order, so results match the serial backends bit for
         // bit).
-        let dangling = ops::empty_rows(matrix);
-        Ok(kernel3::run(
+        let dangling = kernel3::DanglingInfo::from_mask(&ops::empty_rows(matrix));
+        Ok(kernel3::run_into(
             kernel3::init_ranks(cfg.spec.num_vertices(), cfg.seed),
-            |r| graphblas::vxm::<graphblas::PlusTimes>(r, matrix),
+            kernel3::serial_stepper(|r: &[f64]| graphblas::vxm::<graphblas::PlusTimes>(r, matrix)),
             &dangling,
             &cfg.pagerank_options(),
         ))

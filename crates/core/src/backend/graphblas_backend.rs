@@ -22,7 +22,7 @@ use std::path::Path;
 use ppbench_io::{Edge, EdgeReader, EdgeWriter, Manifest};
 use ppbench_sparse::{graphblas, ops, Coo, Csr};
 
-use crate::backend::{require_sorted, Backend, Kernel2Output};
+use crate::backend::{require_in_bounds, require_sorted, Backend, Kernel2Output};
 use crate::config::PipelineConfig;
 use crate::error::Result;
 use crate::kernel2::FilterStats;
@@ -57,9 +57,12 @@ impl Backend for GraphBlasBackend {
         // the multiset. GraphBLAS has no notion of "sort by start only",
         // so this backend always produces the (start, end) order — a
         // superset of every kernel-2 input contract.
-        let (manifest, iter) = EdgeReader::open_dir(in_dir)?;
-        let edges: Vec<Edge> = iter.collect::<ppbench_io::Result<_>>()?;
-        let matrix = self.build_matrix(cfg.spec.num_vertices(), edges);
+        let (manifest, edges) = EdgeReader::read_dir_all(in_dir)?;
+        let n = cfg.spec.num_vertices();
+        for &e in &edges {
+            require_in_bounds(e, n, in_dir)?;
+        }
+        let matrix = self.build_matrix(n, edges);
         let mut writer = EdgeWriter::create(out_dir, "edges", cfg.num_files, manifest.edges)?;
         for (u, v, count) in matrix.iter() {
             for _ in 0..count {
@@ -74,10 +77,12 @@ impl Backend for GraphBlasBackend {
     }
 
     fn kernel2(&self, cfg: &PipelineConfig, in_dir: &Path) -> Result<Kernel2Output> {
-        let (manifest, iter) = EdgeReader::open_dir(in_dir)?;
+        let (manifest, edges) = EdgeReader::read_dir_all(in_dir)?;
         require_sorted(&manifest, in_dir)?;
         let n = cfg.spec.num_vertices();
-        let edges: Vec<Edge> = iter.collect::<ppbench_io::Result<_>>()?;
+        for &e in &edges {
+            require_in_bounds(e, n, in_dir)?;
+        }
         let total_edge_count = edges.len() as u64;
         let counts = self.build_matrix(n, edges);
 
@@ -125,10 +130,10 @@ impl Backend for GraphBlasBackend {
     }
 
     fn kernel3(&self, cfg: &PipelineConfig, matrix: &Csr<f64>) -> Result<kernel3::PageRankRun> {
-        let dangling = ops::empty_rows(matrix);
-        Ok(kernel3::run(
+        let dangling = kernel3::DanglingInfo::from_mask(&ops::empty_rows(matrix));
+        Ok(kernel3::run_into(
             kernel3::init_ranks(cfg.spec.num_vertices(), cfg.seed),
-            |r| graphblas::vxm::<graphblas::PlusTimes>(r, matrix),
+            kernel3::serial_stepper(|r: &[f64]| graphblas::vxm::<graphblas::PlusTimes>(r, matrix)),
             &dangling,
             &cfg.pagerank_options(),
         ))

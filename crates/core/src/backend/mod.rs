@@ -32,8 +32,8 @@ pub use parallel::ParallelBackend;
 
 use std::path::Path;
 
-use ppbench_io::Manifest;
-use ppbench_sparse::Csr;
+use ppbench_io::{Edge, Manifest};
+use ppbench_sparse::{Csr, CsrStreamBuilder};
 
 use crate::config::PipelineConfig;
 use crate::error::Result;
@@ -93,49 +93,36 @@ pub trait Backend: Send + Sync {
 }
 
 /// Shared streaming kernel-2 body: read a sorted file set, verify the
-/// manifest's contracts (digest and claimed sort order), accumulate counts
-/// straight into CSR with no intermediate edge vector, and funnel through
-/// [`kernel2::filter_matrix`]. The optimized and parallel backends both
-/// delegate here — their kernel-2 data paths are identical, only kernels
-/// 0/1/3 differ.
+/// manifest's contracts (digest and claimed sort order) and the vertex
+/// bound, accumulate counts straight into CSR with no intermediate edge
+/// vector, and funnel through [`kernel2::filter_matrix`]. The optimized
+/// and parallel backends both delegate here — their kernel-2 data paths
+/// are identical, only kernels 0/1/3 differ.
+///
+/// [`kernel2::filter_matrix`]: crate::kernel2::filter_matrix
 pub(crate) fn kernel2_streamed(cfg: &PipelineConfig, in_dir: &Path) -> Result<Kernel2Output> {
     let (manifest, iter) = ppbench_io::EdgeReader::open_dir(in_dir)?;
     require_sorted(&manifest, in_dir)?;
-    // Stream the sorted edges straight into CSR construction while checking
-    // the manifest's contracts: the digest (catches tampered/truncated
-    // files) and the sort order (catches a forged sort state) both surface
-    // as errors, not silent bad math.
+    let n = cfg.spec.num_vertices();
+    // Every contract is checked before the edge reaches the builder, so a
+    // tampered, truncated, misordered or out-of-bound file set is an error,
+    // not a panic or silent bad math.
+    let mut builder = CsrStreamBuilder::<u64>::new(n);
     let mut digest = ppbench_io::checksum::EdgeDigest::new();
-    let mut stream_err: Option<crate::Error> = None;
-    let mut prev_start: Option<u64> = None;
-    let counts = {
-        let digest = &mut digest;
-        let stream_err = &mut stream_err;
-        let prev_start = &mut prev_start;
-        Csr::<u64>::from_sorted_edge_iter(
-            cfg.spec.num_vertices(),
-            iter.map_while(move |r| match r {
-                Ok(e) => {
-                    if let Some(p) = prev_start.filter(|&p| p > e.u) {
-                        *stream_err = Some(crate::Error::Contract(format!(
-                            "claims sorted order but start {} follows {p}",
-                            e.u
-                        )));
-                        return None;
-                    }
-                    *prev_start = Some(e.u);
-                    digest.update(e);
-                    Some((e.u, e.v))
-                }
-                Err(e) => {
-                    *stream_err = Some(e.into());
-                    None
-                }
-            }),
-        )
-    };
-    if let Some(e) = stream_err {
-        return Err(e);
+    let mut prev_start = 0;
+    for e in iter {
+        let e = e?;
+        if e.u < prev_start {
+            return Err(crate::Error::Contract(format!(
+                "{}: claims sorted order but start {} follows {prev_start}",
+                in_dir.display(),
+                e.u
+            )));
+        }
+        require_in_bounds(e, n, in_dir)?;
+        prev_start = e.u;
+        digest.update(e);
+        builder.push(e.u, e.v);
     }
     if !digest.same_stream(&manifest.digest) {
         return Err(crate::Error::Contract(format!(
@@ -143,7 +130,8 @@ pub(crate) fn kernel2_streamed(cfg: &PipelineConfig, in_dir: &Path) -> Result<Ke
             in_dir.display()
         )));
     }
-    let (matrix, stats) = crate::kernel2::filter_matrix(&counts, cfg.add_diagonal_to_empty);
+    let (matrix, stats) =
+        crate::kernel2::filter_matrix(&builder.finish(), cfg.add_diagonal_to_empty);
     Ok(Kernel2Output { matrix, stats })
 }
 
@@ -215,6 +203,40 @@ pub(crate) fn require_sorted(manifest: &Manifest, dir: &Path) -> Result<()> {
             "kernel 2 requires input sorted by start vertex, but {} is {:?}",
             dir.display(),
             manifest.sort_state
+        )));
+    }
+    Ok(())
+}
+
+/// Shared kernel-1 contract check: kernel 1 republishes its input's vertex
+/// bound on its output manifest, so an edge outside that bound is rejected
+/// rather than passed on.
+pub(crate) fn within_manifest_bound(
+    e: Edge,
+    manifest: &Manifest,
+    dir: &Path,
+) -> ppbench_io::Result<Edge> {
+    match manifest.vertex_bound {
+        Some(n) if e.u >= n || e.v >= n => Err(ppbench_io::Error::manifest(
+            dir.join(ppbench_io::MANIFEST_NAME),
+            format!(
+                "edge ({}, {}) exceeds the manifest's vertex bound {n}",
+                e.u, e.v
+            ),
+        )),
+        _ => Ok(e),
+    }
+}
+
+/// Shared kernel-2 contract check: every edge must lie inside the
+/// configured `n`-vertex graph before a backend builds anything from it.
+pub(crate) fn require_in_bounds(e: Edge, n: u64, dir: &Path) -> Result<()> {
+    if e.u >= n || e.v >= n {
+        return Err(crate::Error::Contract(format!(
+            "{}: edge ({}, {}) exceeds the configured vertex bound {n}",
+            dir.display(),
+            e.u,
+            e.v
         )));
     }
     Ok(())

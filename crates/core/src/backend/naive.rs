@@ -20,7 +20,9 @@ use ppbench_io::checksum::EdgeDigest;
 use ppbench_io::{Edge, Error as IoError, Manifest, SortState};
 use ppbench_sparse::{Coo, Csr};
 
-use crate::backend::{require_sorted, Backend, Kernel2Output};
+use crate::backend::{
+    require_in_bounds, require_sorted, within_manifest_bound, Backend, Kernel2Output,
+};
 use crate::config::PipelineConfig;
 use crate::error::{Error, Result};
 use crate::{kernel0, kernel2, kernel3};
@@ -78,10 +80,21 @@ fn write_naively(
 }
 
 /// Reads every edge of a file set the scripting way: line strings, `split`,
-/// `parse`.
+/// `parse`. The manifest is untrusted: its edge count is bounded by the
+/// bytes on disk before it sizes anything, every edge is checked against
+/// its vertex bound, and the stream is verified against its digest.
 fn read_naively(dir: &Path) -> Result<(Manifest, Vec<Edge>)> {
     let manifest = Manifest::load(dir)?;
+    let disk_cap = manifest.max_edges_on_disk(dir);
+    if manifest.edges > disk_cap {
+        return Err(Error::Contract(format!(
+            "{}: manifest claims {} edges but its files hold at most {disk_cap}",
+            dir.display(),
+            manifest.edges
+        )));
+    }
     let mut edges = Vec::with_capacity(manifest.edges as usize);
+    let mut digest = EdgeDigest::new();
     for path in manifest.file_paths(dir) {
         let file = std::fs::File::open(&path).map_err(|e| IoError::io(&path, e))?;
         for (lineno, line) in BufReader::new(file).lines().enumerate() {
@@ -104,8 +117,16 @@ fn read_naively(dir: &Path) -> Result<(Manifest, Vec<Edge>)> {
                     "trailing fields",
                 )));
             }
-            edges.push(Edge::new(u, v));
+            let e = within_manifest_bound(Edge::new(u, v), &manifest, dir)?;
+            digest.update(e);
+            edges.push(e);
         }
+    }
+    if !digest.same_stream(&manifest.digest) {
+        return Err(Error::Contract(format!(
+            "{}: edge stream does not match manifest digest",
+            dir.display()
+        )));
     }
     Ok((manifest, edges))
 }
@@ -148,11 +169,12 @@ impl Backend for NaiveBackend {
         let (manifest, edges) = read_naively(in_dir)?;
         require_sorted(&manifest, in_dir)?;
         // The dict-of-counts assembly.
+        let n = cfg.spec.num_vertices();
         let mut counts: BTreeMap<(u64, u64), u64> = BTreeMap::new();
-        for e in &edges {
+        for &e in &edges {
+            require_in_bounds(e, n, in_dir)?;
             *counts.entry((e.u, e.v)).or_insert(0) += 1;
         }
-        let n = cfg.spec.num_vertices();
         let mut coo = Coo::with_capacity(n, n, counts.len());
         for (&(u, v), &c) in &counts {
             coo.push(u, v, c);
@@ -174,10 +196,10 @@ impl Backend for NaiveBackend {
             }
             out
         };
-        let dangling = ppbench_sparse::ops::empty_rows(matrix);
-        Ok(kernel3::run(
+        let dangling = kernel3::DanglingInfo::from_mask(&ppbench_sparse::ops::empty_rows(matrix));
+        Ok(kernel3::run_into(
             kernel3::init_ranks(cfg.spec.num_vertices(), cfg.seed),
-            multiply,
+            kernel3::serial_stepper(multiply),
             &dangling,
             &cfg.pagerank_options(),
         ))

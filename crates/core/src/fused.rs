@@ -40,7 +40,7 @@ use ppbench_sort::{ExternalSorter, RunSet, SortKey};
 use ppbench_sparse::{Csr, CsrSegment, CsrStreamBuilder};
 use rayon::prelude::*;
 
-use crate::backend::Kernel2Output;
+use crate::backend::{require_in_bounds, Kernel2Output};
 use crate::config::PipelineConfig;
 use crate::error::{Error, Result};
 use crate::kernel2;
@@ -102,22 +102,15 @@ pub fn kernel12(cfg: &PipelineConfig, k0_dir: &Path, scratch_dir: &Path) -> Resu
     let mut writers = Vec::with_capacity(buckets);
     for b in 0..buckets {
         let dir = scratch_dir.join(format!("fused-bucket-{b:03}"));
-        // (start, end) runs make each bucket's merge emit exactly the order
-        // CsrStreamBuilder needs for O(1) duplicate accumulation.
+        // (start, end) runs make each bucket's merge emit every row already
+        // in column order, so CsrStreamBuilder's per-row sort is one pass.
         writers.push(ExternalSorter::new(&dir, budget_edges, SortKey::StartEnd)?.run_writer()?);
     }
 
     let mut input_digest = EdgeDigest::new();
     for edge in iter {
         let e = edge?;
-        if e.u >= n || e.v >= n {
-            return Err(Error::Contract(format!(
-                "{}: edge ({}, {}) exceeds the configured vertex bound {n}",
-                k0_dir.display(),
-                e.u,
-                e.v
-            )));
-        }
+        require_in_bounds(e, n, k0_dir)?;
         input_digest.update(e);
         let b = bounds.partition_point(|&lo| lo <= e.u) - 1;
         writers[b].push(e)?;

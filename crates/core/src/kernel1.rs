@@ -11,14 +11,16 @@
 //!
 //! Both paths treat the input manifest as untrusted on-disk data: its edge
 //! count is bounded against the actual file bytes before any allocation,
-//! and the stream read back is digest-verified against the manifest before
-//! the sorted output is committed.
+//! every edge is checked against its vertex bound, and the stream read back
+//! is digest-verified against the manifest before the sorted output is
+//! committed.
 
 use std::path::Path;
 
 use ppbench_io::{checksum::EdgeDigest, EdgeReader, EdgeWriter, Manifest, BYTES_PER_EDGE};
 use ppbench_sort::{pipelined_sort, Algorithm, SortKey};
 
+use crate::backend::within_manifest_bound;
 use crate::error::{Error, Result};
 
 /// Sorts the edge file set at `in_dir` into a new file set at `out_dir`.
@@ -49,6 +51,7 @@ pub fn sort_file_set(
             in_manifest.edges
         )));
     }
+    let iter = iter.map(|e| e.and_then(|e| within_manifest_bound(e, &in_manifest, in_dir)));
     let in_bytes = in_manifest.edges.saturating_mul(BYTES_PER_EDGE as u64);
     // `Some` only when the input exceeds the in-memory budget.
     let spill_budget = budget_bytes.filter(|&b| in_bytes > b);

@@ -27,16 +27,21 @@
 //! running mass carried from one iteration's epilogue into the next
 //! iteration's teleport term instead of re-summing the rank vector. The
 //! backend supplies a *stepper* closure that writes the new ranks into the
-//! provided buffer and reports the L1 delta and new mass — the serial
-//! backends wrap a plain multiply via [`apply_epilogue`]; the parallel
-//! backend plugs in `ppbench_sparse::spmv::step_fused`, which does
-//! multiply + epilogue + delta in one sweep.
+//! provided buffer and reports the L1 delta and new mass:
 //!
-//! [`run`] and [`step_with`] remain as compatibility wrappers and are
-//! bit-identical to their historical behavior: the carried mass
-//! accumulates in the same flat order `vector::sum` uses, and
-//! [`DanglingInfo::mass`] adds ranks in the same ascending-index order the
-//! old masked scan did.
+//! * the optimized backend scatters into the buffer and applies
+//!   [`apply_epilogue`];
+//! * the naive, dataframe and GraphBLAS backends wrap their allocating
+//!   multiply in [`serial_stepper`];
+//! * the parallel backend plugs in `ppbench_sparse::spmv::step_fused`,
+//!   the one parallel kernel, which does multiply + epilogue + delta in
+//!   one sweep.
+//!
+//! The serial steppers are bit-identical to the textbook loop (fresh-sum
+//! teleport, masked dangling scan, post-hoc L1 distance): the carried
+//! mass accumulates in the same flat order `vector::sum` uses, and
+//! [`DanglingInfo::mass`] adds ranks in ascending index order like a
+//! masked scan. [`step`] and [`pagerank`] keep the spec's literal form.
 
 use ppbench_prng::{Rng64, SeedableRng64, SplitMix64, Xoshiro256pp};
 use ppbench_sparse::vector;
@@ -242,11 +247,9 @@ fn step_coeffs<'a>(
 /// L1 delta and new mass, accumulated during the same sweep.
 ///
 /// `next` holds `r * A` on entry and the new rank vector on exit. The
-/// per-element expressions and the flat accumulation order match the
-/// historical `step_with` loops exactly, so serial results are
-/// bit-identical; in particular the delta accumulator adds in the same
-/// sequence as `vector::l1_distance` and the mass accumulator in the same
-/// sequence as `vector::sum`.
+/// delta accumulator adds in the same sequence as `vector::l1_distance`
+/// and the mass accumulator in the same sequence as `vector::sum`, so
+/// every serial backend gets bit-identical results.
 pub fn apply_epilogue(r: &[f64], next: &mut [f64], coeffs: &StepCoeffs<'_>) -> StepOutcome {
     let c = coeffs.damping;
     let teleport = coeffs.teleport;
@@ -280,44 +283,6 @@ pub fn apply_epilogue(r: &[f64], next: &mut [f64], coeffs: &StepCoeffs<'_>) -> S
         }
     }
     StepOutcome { delta, mass }
-}
-
-/// One update under a dangling strategy. `dangling_rows[u]` flags rows
-/// with no out-edges in the (filtered, normalized) matrix.
-///
-/// Compatibility wrapper over [`apply_epilogue`]; allocates via `multiply`.
-/// The hot path is [`run_into`], which reuses buffers across iterations.
-pub fn step_with(
-    r: &[f64],
-    multiply: impl FnOnce(&[f64]) -> Vec<f64>,
-    dangling_rows: &[bool],
-    opts: &PageRankOptions,
-) -> Vec<f64> {
-    let n = r.len() as f64;
-    let c = opts.damping;
-    let teleport = (1.0 - c) * vector::sum(r) / n;
-    let spread = match opts.dangling {
-        DanglingStrategy::Redistribute => {
-            let dangling_mass: f64 = r
-                .iter()
-                .zip(dangling_rows)
-                .filter(|&(_, &d)| d)
-                .map(|(&x, _)| x)
-                .sum();
-            c * dangling_mass / n
-        }
-        _ => 0.0,
-    };
-    let sink = matches!(opts.dangling, DanglingStrategy::Sink).then_some(dangling_rows);
-    let coeffs = StepCoeffs {
-        damping: c,
-        teleport,
-        spread,
-        sink,
-    };
-    let mut next = multiply(r);
-    apply_epilogue(r, &mut next, &coeffs);
-    next
 }
 
 /// Runs kernel 3 with a buffer-writing stepper: double-buffered rank
@@ -374,8 +339,8 @@ pub fn run_into(
 
 /// Adapts a plain `r * A` closure into a [`run_into`] stepper: multiply,
 /// copy into the iteration buffer, apply the epilogue in place. This is
-/// the compatibility path for backends whose multiply allocates its own
-/// output; it reproduces the historical serial results bit for bit.
+/// the path of the serial oracle backends, whose multiply allocates its
+/// own output.
 pub fn serial_stepper<M>(
     mut multiply: M,
 ) -> impl FnMut(&[f64], &mut [f64], &StepCoeffs<'_>) -> StepOutcome
@@ -387,30 +352,6 @@ where
         next.copy_from_slice(&prod);
         apply_epilogue(r, next, coeffs)
     }
-}
-
-/// Runs kernel 3 under full options: dangling strategy and optional
-/// convergence stopping.
-///
-/// Compatibility wrapper: precomputes [`DanglingInfo`] from the mask and
-/// drives [`run_into`] with a [`serial_stepper`].
-///
-/// # Panics
-///
-/// Panics if `dangling_rows.len() != r0.len()`.
-pub fn run(
-    r0: Vec<f64>,
-    multiply: impl FnMut(&[f64]) -> Vec<f64>,
-    dangling_rows: &[bool],
-    opts: &PageRankOptions,
-) -> PageRankRun {
-    assert_eq!(
-        dangling_rows.len(),
-        r0.len(),
-        "dangling mask length mismatch"
-    );
-    let info = DanglingInfo::from_mask(dangling_rows);
-    run_into(r0, serial_stepper(multiply), &info, opts)
 }
 
 /// The L1 mass retained after a run. With no dangling rows this stays at
@@ -425,6 +366,22 @@ pub fn rank_mass(r: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use ppbench_sparse::{eigen, ops, spmv, Coo, Csr};
+
+    /// The serial oracle path the naive, dataframe and GraphBLAS backends
+    /// take, over a scatter multiply.
+    fn run_serial(
+        r0: Vec<f64>,
+        a: &Csr<f64>,
+        dangling: &[bool],
+        opts: &PageRankOptions,
+    ) -> PageRankRun {
+        run_into(
+            r0,
+            serial_stepper(|x: &[f64]| spmv::vxm(x, a)),
+            &DanglingInfo::from_mask(dangling),
+            opts,
+        )
+    }
 
     fn ring(n: u64) -> Csr<f64> {
         let mut coo = Coo::<u64>::new(n, n);
@@ -518,7 +475,7 @@ mod tests {
             dangling: DanglingStrategy::Redistribute,
             ..Default::default()
         };
-        let out = run(init_ranks(2, 1), |x| spmv::vxm(x, &a), &dangling, &opts);
+        let out = run_serial(init_ranks(2, 1), &a, &dangling, &opts);
         assert_eq!(out.iterations, 20);
         assert!(
             (rank_mass(&out.ranks) - 1.0).abs() < 1e-12,
@@ -540,7 +497,7 @@ mod tests {
             max_iterations: 100,
             ..Default::default()
         };
-        let out = run(init_ranks(3, 1), |x| spmv::vxm(x, &a), &dangling, &opts);
+        let out = run_serial(init_ranks(3, 1), &a, &dangling, &opts);
         assert!((rank_mass(&out.ranks) - 1.0).abs() < 1e-12);
         assert!(
             out.ranks[2] > out.ranks[0] && out.ranks[2] > out.ranks[1],
@@ -574,18 +531,8 @@ mod tests {
             max_iterations: 30,
             ..Default::default()
         };
-        let a = run(
-            init_ranks(4, 2),
-            |x| spmv::vxm(x, &plain),
-            &dangling,
-            &opts_sink,
-        );
-        let b = run(
-            init_ranks(4, 2),
-            |x| spmv::vxm(x, &repaired),
-            &[false; 4],
-            &opts_omit,
-        );
+        let a = run_serial(init_ranks(4, 2), &plain, &dangling, &opts_sink);
+        let b = run_serial(init_ranks(4, 2), &repaired, &[false; 4], &opts_omit);
         for i in 0..4 {
             assert!(
                 (a.ranks[i] - b.ranks[i]).abs() < 1e-12,
@@ -600,7 +547,7 @@ mod tests {
     fn omit_strategy_via_run_matches_plain_pagerank() {
         let a = ring(6);
         let opts = PageRankOptions::default();
-        let via_run = run(init_ranks(6, 9), |x| spmv::vxm(x, &a), &[false; 6], &opts);
+        let via_run = run_serial(init_ranks(6, 9), &a, &[false; 6], &opts);
         let plain = pagerank(init_ranks(6, 9), |x| spmv::vxm(x, &a), 0.85, 20);
         assert_eq!(via_run.ranks, plain);
         assert_eq!(via_run.iterations, 20);
@@ -614,7 +561,7 @@ mod tests {
             tolerance: Some(1e-12),
             ..Default::default()
         };
-        let out = run(init_ranks(8, 3), |x| spmv::vxm(x, &a), &[false; 8], &opts);
+        let out = run_serial(init_ranks(8, 3), &a, &[false; 8], &opts);
         assert!(out.iterations < 10_000, "never converged");
         assert!(out.final_delta < 1e-12);
         // Converged to uniform on the symmetric ring.
@@ -676,10 +623,10 @@ mod tests {
     }
 
     #[test]
-    fn run_is_bit_identical_to_the_legacy_step_loop() {
-        // The compatibility wrapper must reproduce the historical
-        // iteration exactly: fresh-sum teleport, masked dangling scan,
-        // post-hoc l1_distance.
+    fn serial_stepper_is_bit_identical_to_the_textbook_loop() {
+        // The carried mass and the dangling index list must reproduce the
+        // textbook iteration exactly: fresh-sum teleport, masked dangling
+        // scan, post-hoc l1_distance.
         let mut coo = Coo::<u64>::new(6, 6);
         for (u, v) in [(0, 1), (1, 2), (2, 0), (3, 0), (0, 4)] {
             coo.push(u, v, 1);
@@ -695,11 +642,29 @@ mod tests {
                 dangling: strategy,
                 ..Default::default()
             };
-            let via_run = run(init_ranks(6, 4), |x| spmv::vxm(x, &a), &dangling, &opts);
+            let via_run = run_serial(init_ranks(6, 4), &a, &dangling, &opts);
             let mut r = init_ranks(6, 4);
             let mut delta = f64::INFINITY;
             for _ in 0..opts.max_iterations {
-                let next = step_with(&r, |x| spmv::vxm(x, &a), &dangling, &opts);
+                let (c, n) = (opts.damping, r.len() as f64);
+                let teleport = (1.0 - c) * vector::sum(&r) / n;
+                let dangling_mass: f64 = r
+                    .iter()
+                    .zip(&dangling)
+                    .filter(|&(_, &d)| d)
+                    .map(|(&x, _)| x)
+                    .sum();
+                let mut next = spmv::vxm(&r, &a);
+                for (v, x) in next.iter_mut().enumerate() {
+                    *x = c * *x
+                        + teleport
+                        + match strategy {
+                            DanglingStrategy::Omit => 0.0,
+                            DanglingStrategy::Redistribute => c * dangling_mass / n,
+                            DanglingStrategy::Sink if dangling[v] => c * r[v],
+                            DanglingStrategy::Sink => 0.0,
+                        };
+                }
                 delta = vector::l1_distance(&next, &r);
                 r = next;
             }
@@ -734,7 +699,7 @@ mod tests {
                 dangling: strategy,
                 ..Default::default()
             };
-            let serial = run(init_ranks(8, 6), |x| spmv::vxm(x, &a), &mask, &opts);
+            let serial = run_serial(init_ranks(8, 6), &a, &mask, &opts);
             let fused = run_into(
                 init_ranks(8, 6),
                 |r, next, coeffs| spmv::step_fused(r, &at.view(), next, coeffs, &boundaries),

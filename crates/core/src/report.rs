@@ -1,13 +1,13 @@
 //! Machine-readable run records.
 //!
 //! A benchmark is only useful if its numbers outlive the process. This
-//! module persists a [`crate::PipelineResult`] as a self-describing
-//! tab-separated record (same zero-dependency philosophy as the edge-file
-//! manifests) and loads it back for longitudinal comparison — e.g. a CI
-//! job diffing tonight's rates against last week's.
+//! module persists a [`crate::PipelineResult`] as a canonical JSON record
+//! — the one wire format of `pprank --json`, `pprank --report`, the
+//! `ppbench-serve` HTTP API and its disk cache — and parses it back.
 
 use std::path::Path;
 
+use crate::json::Json;
 use crate::results::PipelineResult;
 use crate::{Error, Result};
 
@@ -67,35 +67,11 @@ impl RunRecord {
         }
     }
 
-    /// Serializes the record as tab-separated `key value` lines.
-    pub fn to_text(&self) -> String {
-        let mut out = String::from("record\tppbench-run-v1\n");
-        out.push_str(&format!("variant\t{}\n", self.variant));
-        out.push_str(&format!("workload\t{}\n", self.workload));
-        out.push_str(&format!("scale\t{}\n", self.scale));
-        out.push_str(&format!("edges\t{}\n", self.edges));
-        for (k, slot) in self.kernels.iter().enumerate() {
-            if let Some((secs, rate)) = slot {
-                out.push_str(&format!("kernel\t{k}\t{secs:.9}\t{rate:.3}\n"));
-            }
-        }
-        if let Some(passed) = self.validation_passed {
-            out.push_str(&format!("validation\t{passed}\n"));
-        }
-        if let Some(threads) = self.threads {
-            out.push_str(&format!("threads\t{threads}\n"));
-        }
-        if let Some(checksum) = self.checksum {
-            out.push_str(&format!("checksum\t{checksum:016x}\n"));
-        }
-        out
-    }
-
     /// Serializes the record as a canonical JSON object.
     ///
-    /// The shape mirrors [`RunRecord::to_text`] field for field and is the
-    /// wire format shared by `pprank --json` and the `ppbench-serve` HTTP
-    /// API: a `record` version tag, the run identity, one entry per kernel
+    /// The record is the wire format shared by `pprank --json`,
+    /// `pprank --report` and the `ppbench-serve` HTTP API: a `record`
+    /// version tag, the run identity, one entry per kernel
     /// that ran (with `seconds` and `edges_per_second`), and the validation
     /// outcome (`null` when validation did not run). Rendering goes
     /// through [`crate::json`], so keys are sorted and the same record is
@@ -136,135 +112,92 @@ impl RunRecord {
         obj.render()
     }
 
-    /// Parses a record produced by [`RunRecord::to_text`].
-    pub fn from_text(text: &str) -> Result<Self> {
-        let mut record = RunRecord {
-            variant: String::new(),
-            // Records written before the workload axis existed are all
-            // PageRank runs.
-            workload: "pagerank".to_string(),
-            scale: 0,
-            edges: 0,
-            kernels: [None; 4],
-            validation_passed: None,
-            threads: None,
-            checksum: None,
+    /// Parses a record produced by [`RunRecord::to_json`]. Seconds and
+    /// rates round-trip bit-exactly because `to_json` emits shortest
+    /// round-trip decimals; malformed records are rejected, not defaulted.
+    pub fn from_json(v: &Json) -> Result<Self> {
+        let bad = |msg: &str| Error::Contract(format!("run record: {msg}"));
+        if v.get("record").and_then(Json::as_str) != Some("ppbench-run-v1") {
+            return Err(bad("not ppbench-run-v1"));
+        }
+        let str_field = |key: &str| -> Result<String> {
+            v.get(key)
+                .and_then(Json::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| bad(&format!("missing {key}")))
         };
-        let mut saw_header = false;
-        for (lineno, line) in text.lines().enumerate() {
-            if line.is_empty() {
-                continue;
-            }
-            let fields: Vec<&str> = line.split('\t').collect();
-            let bad = |msg: &str| Error::Contract(format!("run record line {}: {msg}", lineno + 1));
-            match fields[0] {
-                "record" => {
-                    if fields.get(1) != Some(&"ppbench-run-v1") {
-                        return Err(bad("unknown record version"));
-                    }
-                    saw_header = true;
-                }
-                "variant" => {
-                    record.variant = fields
-                        .get(1)
-                        .ok_or_else(|| bad("missing variant"))?
-                        .to_string();
-                }
-                "workload" => {
-                    record.workload = fields
-                        .get(1)
-                        .ok_or_else(|| bad("missing workload"))?
-                        .to_string();
-                }
-                "scale" => {
-                    record.scale = fields
-                        .get(1)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad("bad scale"))?;
-                }
-                "edges" => {
-                    record.edges = fields
-                        .get(1)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad("bad edge count"))?;
-                }
-                "kernel" => {
-                    let k: usize = fields
-                        .get(1)
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&k| k < 4)
-                        .ok_or_else(|| bad("bad kernel index"))?;
-                    let secs: f64 = fields
-                        .get(2)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad("bad seconds"))?;
-                    let rate: f64 = fields
-                        .get(3)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad("bad rate"))?;
-                    record.kernels[k] = Some((secs, rate));
-                }
-                "validation" => {
-                    record.validation_passed = Some(
-                        fields
-                            .get(1)
-                            .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| bad("bad validation flag"))?,
-                    );
-                }
-                "threads" => {
-                    record.threads = Some(
-                        fields
-                            .get(1)
-                            .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| bad("bad thread count"))?,
-                    );
-                }
-                "checksum" => {
-                    record.checksum = Some(
-                        fields
-                            .get(1)
-                            .and_then(|v| u64::from_str_radix(v, 16).ok())
-                            .ok_or_else(|| bad("bad checksum"))?,
-                    );
-                }
-                other => return Err(bad(&format!("unknown key {other:?}"))),
+        let mut kernels: [Option<(f64, f64)>; 4] = [None; 4];
+        let Some(Json::Array(entries)) = v.get("kernels") else {
+            return Err(bad("missing kernels"));
+        };
+        for entry in entries {
+            let k = entry
+                .get("kernel")
+                .and_then(Json::as_u64)
+                .filter(|&k| k < 4)
+                .ok_or_else(|| bad("bad kernel index"))?;
+            let secs = entry
+                .get("seconds")
+                .and_then(Json::as_f64)
+                .ok_or_else(|| bad("bad kernel seconds"))?;
+            let rate = entry
+                .get("edges_per_second")
+                .and_then(Json::as_f64)
+                .ok_or_else(|| bad("bad kernel rate"))?;
+            if let Some(slot) = kernels.get_mut(k as usize) {
+                *slot = Some((secs, rate));
             }
         }
-        if !saw_header {
-            return Err(Error::Contract("run record missing header line".into()));
-        }
-        Ok(record)
+        // Optional fields: absent and `null` both mean "not recorded".
+        let opt = |key: &str| v.get(key).filter(|j| **j != Json::Null);
+        let validation_passed = match opt("validation_passed") {
+            None => None,
+            Some(j) => Some(j.as_bool().ok_or_else(|| bad("bad validation_passed"))?),
+        };
+        let threads = match opt("threads") {
+            None => None,
+            Some(j) => Some(j.as_u64().ok_or_else(|| bad("bad threads"))?),
+        };
+        let checksum = match opt("checksum") {
+            None => None,
+            Some(j) => Some(
+                j.as_str()
+                    .and_then(|h| u64::from_str_radix(h, 16).ok())
+                    .ok_or_else(|| bad("bad checksum"))?,
+            ),
+        };
+        Ok(RunRecord {
+            variant: str_field("variant")?,
+            workload: str_field("workload")?,
+            scale: v
+                .get("scale")
+                .and_then(Json::as_u64)
+                .and_then(|s| u32::try_from(s).ok())
+                .ok_or_else(|| bad("bad scale"))?,
+            edges: v
+                .get("edges")
+                .and_then(Json::as_u64)
+                .ok_or_else(|| bad("bad edges"))?,
+            kernels,
+            validation_passed,
+            threads,
+            checksum,
+        })
     }
 
-    /// Writes the record to a file.
+    /// Writes the record to a file as canonical JSON.
     pub fn save(&self, path: &Path) -> Result<()> {
-        std::fs::write(path, self.to_text())
+        std::fs::write(path, self.to_json())
             .map_err(|e| Error::Storage(ppbench_io::Error::io(path, e)))
     }
 
-    /// Loads a record from a file.
+    /// Loads a record written by [`RunRecord::save`].
     pub fn load(path: &Path) -> Result<Self> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| Error::Storage(ppbench_io::Error::io(path, e)))?;
-        Self::from_text(&text)
-    }
-
-    /// Rate ratio (`self / baseline`) per kernel — > 1 means this run was
-    /// faster. `None` where either run lacks the kernel.
-    pub fn speedup_vs(&self, baseline: &RunRecord) -> [Option<f64>; 4] {
-        let mut out = [None; 4];
-        for (slot, (mine, theirs)) in out
-            .iter_mut()
-            .zip(self.kernels.iter().zip(&baseline.kernels))
-        {
-            if let (Some((_, a)), Some((_, b))) = (mine, theirs) {
-                if *b > 0.0 {
-                    *slot = Some(a / b);
-                }
-            }
-        }
-        out
+        let json =
+            Json::parse(&text).map_err(|e| Error::Contract(format!("{}: {e}", path.display())))?;
+        Self::from_json(&json)
     }
 }
 
@@ -285,30 +218,34 @@ mod tests {
         RunRecord::from_result(&result)
     }
 
+    fn reparse(record: &RunRecord) -> Result<RunRecord> {
+        RunRecord::from_json(&Json::parse(&record.to_json()).unwrap())
+    }
+
     #[test]
-    fn roundtrip_through_text() {
+    fn roundtrip_through_json_is_exact() {
         let record = sample();
-        let parsed = RunRecord::from_text(&record.to_text()).unwrap();
-        assert_eq!(parsed.variant, record.variant);
-        assert_eq!(parsed.scale, record.scale);
-        assert_eq!(parsed.edges, record.edges);
-        assert_eq!(parsed.validation_passed, Some(true));
-        for k in 0..4 {
-            let (a, b) = (record.kernels[k].unwrap(), parsed.kernels[k].unwrap());
-            assert!((a.0 - b.0).abs() < 1e-9, "kernel {k} seconds");
-            assert!((a.1 - b.1).abs() / a.1 < 1e-6, "kernel {k} rate");
-        }
+        assert_eq!(record.validation_passed, Some(true));
+        assert!(record.kernels.iter().all(Option::is_some));
+        assert_eq!(reparse(&record).unwrap(), record);
+        // Optional fields as nulls.
+        let mut bare = record.clone();
+        bare.validation_passed = None;
+        bare.threads = None;
+        bare.checksum = None;
+        assert_eq!(reparse(&bare).unwrap(), bare);
     }
 
     #[test]
     fn roundtrip_through_file() {
         let record = sample();
         let td = TempDir::new("report").unwrap();
-        let path = td.join("run.tsv");
+        let path = td.join("run.json");
         record.save(&path).unwrap();
-        let loaded = RunRecord::load(&path).unwrap();
-        assert_eq!(loaded.variant, record.variant);
-        assert_eq!(loaded.edges, record.edges);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), record.to_json());
+        assert_eq!(RunRecord::load(&path).unwrap(), record);
+        std::fs::write(&path, "record\tppbench-run-v1\n").unwrap();
+        assert!(RunRecord::load(&path).is_err(), "non-JSON file accepted");
     }
 
     #[test]
@@ -337,15 +274,22 @@ mod tests {
 
     #[test]
     fn rejects_malformed_records() {
-        assert!(RunRecord::from_text("").is_err(), "missing header");
-        assert!(RunRecord::from_text("record\tppbench-run-v9\n").is_err());
+        let parse = |text: &str| RunRecord::from_json(&Json::parse(text).unwrap());
+        let good = sample().to_json();
+        assert!(parse(&good).is_ok());
+        assert!(parse("{}").is_err(), "missing tag");
+        assert!(parse(&good.replace("ppbench-run-v1", "ppbench-run-v9")).is_err());
         assert!(
-            RunRecord::from_text("record\tppbench-run-v1\nkernel\t7\t1.0\t2.0\n").is_err(),
+            parse(&good.replace("\"kernel\":3", "\"kernel\":7")).is_err(),
             "kernel index out of range"
         );
         assert!(
-            RunRecord::from_text("record\tppbench-run-v1\nbogus\tx\n").is_err(),
-            "unknown key"
+            parse(&good.replace("\"variant\":", "\"flavour\":")).is_err(),
+            "missing variant"
+        );
+        assert!(
+            parse(&good.replace("\"threads\":null", "\"threads\":\"four\"")).is_err(),
+            "mistyped optional field"
         );
     }
 
@@ -356,13 +300,13 @@ mod tests {
         let json = record.to_json();
         assert!(json.contains("\"threads\":null"), "{json}");
         record.threads = Some(4);
-        assert!(record.to_text().contains("threads\t4\n"));
         assert!(record.to_json().contains("\"threads\":4"));
-        let parsed = RunRecord::from_text(&record.to_text()).unwrap();
-        assert_eq!(parsed.threads, Some(4));
-        // Legacy records without the key still parse.
-        let legacy = RunRecord::from_text("record\tppbench-run-v1\nscale\t6\n").unwrap();
-        assert_eq!(legacy.threads, None);
+        assert_eq!(reparse(&record).unwrap().threads, Some(4));
+        // Records without the key parse as unknown.
+        let legacy = json.replace("\"threads\":null,", "");
+        assert!(!legacy.contains("threads"), "{legacy}");
+        let parsed = RunRecord::from_json(&Json::parse(&legacy).unwrap()).unwrap();
+        assert_eq!(parsed.threads, None);
     }
 
     #[test]
@@ -382,7 +326,7 @@ mod tests {
             record.kernels[3].is_some(),
             "the workload reports through the kernel-3 slot"
         );
-        let parsed = RunRecord::from_text(&record.to_text()).unwrap();
+        let parsed = reparse(&record).unwrap();
         assert_eq!(parsed.workload, "bfs");
         assert_eq!(parsed.checksum, record.checksum);
         let json = record.to_json();
@@ -393,22 +337,6 @@ mod tests {
         assert_eq!(pr.workload, "pagerank");
         assert_eq!(pr.checksum, None);
         assert!(pr.to_json().contains("\"checksum\":null"));
-        // Legacy records without the keys parse as PageRank.
-        let legacy = RunRecord::from_text("record\tppbench-run-v1\nscale\t6\n").unwrap();
-        assert_eq!(legacy.workload, "pagerank");
-        assert_eq!(legacy.checksum, None);
-    }
-
-    #[test]
-    fn speedup_compares_rates() {
-        let mut a = sample();
-        let mut b = a.clone();
-        a.kernels[1] = Some((1.0, 200.0));
-        b.kernels[1] = Some((2.0, 100.0));
-        b.kernels[2] = None;
-        let s = a.speedup_vs(&b);
-        assert_eq!(s[1], Some(2.0));
-        assert_eq!(s[2], None);
     }
 
     #[test]
@@ -424,7 +352,7 @@ mod tests {
         assert!(record.kernels[0].is_some());
         assert!(record.kernels[1].is_some());
         assert!(record.kernels[2].is_none());
-        let parsed = RunRecord::from_text(&record.to_text()).unwrap();
-        assert!(parsed.kernels[3].is_none());
+        let parsed = reparse(&record).unwrap();
+        assert!(parsed.kernels[2].is_none() && parsed.kernels[3].is_none());
     }
 }

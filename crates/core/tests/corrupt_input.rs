@@ -1,15 +1,16 @@
-//! Corrupt-input coverage for the kernel-1 read path.
+//! Corrupt-input coverage for the kernel-1 and kernel-2 read paths.
 //!
-//! Kernel 1 is the first consumer of on-disk state it did not produce in
-//! the same process, so every class of corruption — hostile counts,
-//! truncated files, missing files, count/content mismatches — must surface
-//! as a clean `Err` through both `EdgeReader::read_dir_all` and
-//! `kernel1::sort_file_set`, never a panic, abort, or silently wrong
-//! output.
+//! Kernels 1 and 2 consume on-disk state they did not produce in the same
+//! process, so every class of corruption — hostile counts, truncated
+//! files, missing files, count/content mismatches, out-of-bound vertices —
+//! must surface as a clean `Err` through `EdgeReader::read_dir_all`,
+//! `kernel1::sort_file_set` and every backend's kernels 1 and 2, never a
+//! panic, abort, or silently wrong output.
 
 use std::path::Path;
 
 use ppbench_core::kernel1::sort_file_set;
+use ppbench_core::{PipelineConfig, Variant};
 use ppbench_io::{Edge, EdgeReader, Manifest, SortState};
 use ppbench_sort::{Algorithm, SortKey};
 
@@ -138,4 +139,98 @@ fn corruption_leaves_no_committed_output_manifest() {
             "{label}: failed sort must not commit a manifest"
         );
     }
+}
+
+/// A scale-4 (16-vertex) file set sorted by start vertex, as kernel 1
+/// leaves it, with a correct manifest and digest for whatever edges it is
+/// given.
+fn write_sorted_input(dir: &Path, edges: &[Edge]) -> Manifest {
+    ppbench_io::write_edges(
+        dir,
+        "edges",
+        2,
+        edges,
+        Some(4),
+        Some(16),
+        SortState::ByStart,
+    )
+    .unwrap()
+}
+
+fn sorted_edges() -> Vec<Edge> {
+    let mut edges: Vec<Edge> = (0..64)
+        .map(|i| Edge::new((i * 7 + 3) % 16, (i * 5) % 16))
+        .collect();
+    edges.sort_by_key(|e| e.u);
+    edges
+}
+
+/// Runs kernels 1 and 2 of every backend on `dir` and returns the
+/// `(variant, kernel)` pairs that did not fail cleanly.
+fn accepted_by(dir: &Path, out_root: &Path) -> Vec<String> {
+    let cfg = PipelineConfig::builder()
+        .scale(4)
+        .edge_factor(4)
+        .num_files(1)
+        .build();
+    let mut accepted = Vec::new();
+    for v in Variant::ALL {
+        let backend = v.backend();
+        if backend.kernel1(&cfg, dir, &out_root.join(v.name())).is_ok() {
+            accepted.push(format!("{} k1", v.name()));
+        }
+        if backend.kernel2(&cfg, dir).is_ok() {
+            accepted.push(format!("{} k2", v.name()));
+        }
+    }
+    accepted
+}
+
+#[test]
+fn every_backend_rejects_an_out_of_bound_vertex() {
+    let td = ppbench_io::tempdir::TempDir::new("corrupt-k12").unwrap();
+    let mut edges = sorted_edges();
+    let at = edges.iter().position(|e| e.u == 1).unwrap();
+    edges[at] = Edge::new(1, 40);
+    write_sorted_input(&td.join("in"), &edges);
+    assert_eq!(
+        accepted_by(&td.join("in"), &td.join("out")),
+        Vec::<String>::new()
+    );
+}
+
+#[test]
+fn every_backend_rejects_a_hostile_edge_count() {
+    let td = ppbench_io::tempdir::TempDir::new("corrupt-k12").unwrap();
+    write_sorted_input(&td.join("in"), &sorted_edges());
+    let mut m = Manifest::load(&td.join("in")).unwrap();
+    m.edges = 1 << 45;
+    m.digest.count = 1 << 45;
+    m.files[0].edges = (1 << 45) - m.files[1].edges;
+    m.save(&td.join("in")).unwrap();
+    assert_eq!(
+        accepted_by(&td.join("in"), &td.join("out")),
+        Vec::<String>::new()
+    );
+}
+
+#[test]
+fn every_backend_rejects_a_tampered_last_edge() {
+    // Rewrite the final edge in place: counts and sort order still hold,
+    // only the digest can tell.
+    let td = ppbench_io::tempdir::TempDir::new("corrupt-k12").unwrap();
+    let edges = sorted_edges();
+    let m = write_sorted_input(&td.join("in"), &edges);
+    let last = edges[edges.len() - 1];
+    let path = td.join("in").join(&m.files[1].name);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let line = format!("{}\t{}\n", last.u, last.v);
+    assert!(text.ends_with(&line));
+    let forged = format!("{}\t{}\n", last.u, (last.v + 1) % 16);
+    let kept = &text[..text.len() - line.len()];
+    std::fs::write(&path, format!("{kept}{forged}")).unwrap();
+    assert_eq!(
+        accepted_by(&td.join("in"), &td.join("out")),
+        Vec::<String>::new()
+    );
 }

@@ -81,23 +81,12 @@ pub fn read_plain_tsv(path: &Path) -> IoResult<Frame> {
     .expect("two equal-length fresh columns"))
 }
 
-/// Reads a manifest-described edge directory into a ("u", "v") frame.
+/// Reads a manifest-described edge directory into a ("u", "v") frame,
+/// through [`EdgeReader::read_dir_all`]: the manifest's edge count is
+/// bounded by the bytes on disk and the stream is digest-verified.
 pub fn read_edge_tsv(dir: &Path) -> IoResult<Frame> {
-    let (manifest, iter) = EdgeReader::open_dir(dir)?;
-    let cap = manifest.edges as usize;
-    let mut u = Vec::with_capacity(cap);
-    let mut v = Vec::with_capacity(cap);
-    for e in iter {
-        let e = e?;
-        u.push(e.u);
-        v.push(e.v);
-    }
-    Ok(Frame::new(vec![
-        (COL_U.to_string(), Series::U64(u)),
-        (COL_V.to_string(), Series::U64(v)),
-    ])
-    // ppbench: allow(panic, reason = "the two columns are built right here with equal lengths and distinct names, so Frame::new cannot fail")
-    .expect("two equal-length fresh columns"))
+    let (_, edges) = EdgeReader::read_dir_all(dir)?;
+    Ok(frame_from_edges(&edges))
 }
 
 /// Writes the ("u", "v") columns of a frame as an edge directory.

@@ -81,10 +81,10 @@ proptest! {
             w.write_all(&edges).unwrap();
             w.finish(None, None, SortState::Unsorted).unwrap();
         }
-        let (_, from_text) = EdgeReader::read_dir_all(td_text.path()).unwrap();
-        let (mb, from_bin) = EdgeReader::read_dir_all(td_bin.path()).unwrap();
-        prop_assert_eq!(&from_text, &edges);
-        prop_assert_eq!(&from_bin, &edges);
+        let (_, text_edges) = EdgeReader::read_dir_all(td_text.path()).unwrap();
+        let (mb, bin_edges) = EdgeReader::read_dir_all(td_bin.path()).unwrap();
+        prop_assert_eq!(&text_edges, &edges);
+        prop_assert_eq!(&bin_edges, &edges);
         let bin_bytes: u64 = mb.files.iter()
             .map(|f| std::fs::metadata(td_bin.join(&f.name)).unwrap().len())
             .sum();

@@ -157,97 +157,22 @@ impl<T: Scalar> Csr<T> {
         }
     }
 
-    /// Fast path for kernel 2: builds directly from an edge list that is
-    /// already sorted by start vertex (kernel 1's output), accumulating
-    /// duplicate `(u, v)` pairs. Within each row the ends are sorted here.
+    /// Kernel 2's construction: builds the `n × n` count matrix from an
+    /// edge stream sorted by start vertex (kernel 1's output), accumulating
+    /// duplicate `(u, v)` pairs. Within a row the ends may come in any
+    /// order. A short loop over [`CsrStreamBuilder`], so the peak memory is
+    /// the matrix itself plus one row's worth of end vertices.
     ///
     /// # Panics
     ///
     /// Panics if the edges are not sorted by start vertex or go out of
     /// bounds.
-    pub fn from_sorted_edges(n: u64, edges: &[(u64, u64)]) -> Self
-    where
-        T: Scalar,
-    {
-        let mut triplets: Vec<(u64, u64, T)> = Vec::with_capacity(edges.len());
-        let mut i = 0usize;
-        while i < edges.len() {
-            let row = edges[i].0;
-            assert!(row < n, "start vertex {row} out of bounds {n}");
-            if i > 0 {
-                assert!(edges[i - 1].0 <= row, "edges not sorted by start vertex");
-            }
-            let mut ends: Vec<u64> = Vec::new();
-            while i < edges.len() && edges[i].0 == row {
-                assert!(
-                    edges[i].1 < n,
-                    "end vertex {} out of bounds {n}",
-                    edges[i].1
-                );
-                ends.push(edges[i].1);
-                i += 1;
-            }
-            ends.sort_unstable();
-            let mut j = 0usize;
-            while j < ends.len() {
-                let col = ends[j];
-                let mut acc = T::ZERO;
-                while j < ends.len() && ends[j] == col {
-                    acc = acc.add(T::ONE);
-                    j += 1;
-                }
-                triplets.push((row, col, acc));
-            }
-        }
-        Self::from_sorted_dedup_triplets(n, n, triplets)
-    }
-
-    /// Streaming counterpart of [`Csr::from_sorted_edges`]: consumes an
-    /// iterator of `(u, v)` pairs sorted by `u`, never materializing the
-    /// edge list — the peak memory is the matrix itself plus one row's
-    /// worth of end vertices. This is what lets kernel 2 run in roughly
-    /// half the memory of the collect-then-build path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream is not sorted by start vertex or goes out of
-    /// bounds.
-    pub fn from_sorted_edge_iter(n: u64, edges: impl IntoIterator<Item = (u64, u64)>) -> Self {
-        let mut triplets: Vec<(u64, u64, T)> = Vec::new();
-        let mut current_row: Option<u64> = None;
-        let mut ends: Vec<u64> = Vec::new();
-        let flush = |row: u64, ends: &mut Vec<u64>, triplets: &mut Vec<(u64, u64, T)>| {
-            ends.sort_unstable();
-            let mut j = 0usize;
-            while j < ends.len() {
-                let col = ends[j];
-                let mut acc = T::ZERO;
-                while j < ends.len() && ends[j] == col {
-                    acc = acc.add(T::ONE);
-                    j += 1;
-                }
-                triplets.push((row, col, acc));
-            }
-            ends.clear();
-        };
+    pub fn from_sorted_edges(n: u64, edges: impl IntoIterator<Item = (u64, u64)>) -> Self {
+        let mut builder = CsrStreamBuilder::new(n);
         for (u, v) in edges {
-            assert!(u < n, "start vertex {u} out of bounds {n}");
-            assert!(v < n, "end vertex {v} out of bounds {n}");
-            match current_row {
-                Some(row) if row == u => {}
-                Some(row) => {
-                    assert!(row < u, "edges not sorted by start vertex");
-                    flush(row, &mut ends, &mut triplets);
-                    current_row = Some(u);
-                }
-                None => current_row = Some(u),
-            }
-            ends.push(v);
+            builder.push(u, v);
         }
-        if let Some(row) = current_row {
-            flush(row, &mut ends, &mut triplets);
-        }
-        Self::from_sorted_dedup_triplets(n, n, triplets)
+        builder.finish()
     }
 
     /// Number of rows.
@@ -474,17 +399,16 @@ impl<T> CsrSegment<T> {
     }
 }
 
-/// Streaming CSR construction from a `(row, col)`-sorted stream with
-/// duplicate accumulation — the merge-stream counterpart of
-/// [`Csr::from_sorted_edge_iter`]. Where that path buffers a full triplet
-/// vector (24 bytes per entry on top of the final matrix), this one holds
-/// only the open `(row, col, count)` cell plus the growing output arrays,
-/// with narrow (`u32`) column indices during the build whenever the
-/// column bound fits.
+/// Streaming CSR construction from an edge stream sorted by start vertex,
+/// with duplicate accumulation — the one builder behind
+/// [`Csr::from_sorted_edges`] and the fused kernel-2 merge.
 ///
-/// The stream must be sorted by `(row, col)` — exactly what a
-/// `SortKey::StartEnd` merge produces — which is what makes dedup a
-/// constant-state comparison instead of a per-row sort.
+/// The builder buffers only the open row's end vertices. When the row
+/// closes it sorts them, counts duplicates, and writes the row straight
+/// into the output arrays, with narrow (`u32`) column indices during the
+/// build whenever the column bound fits. A `(start, end)`-sorted stream —
+/// what a `SortKey::StartEnd` merge produces — arrives with each row
+/// already in order, which the sort detects in one pass.
 #[derive(Debug)]
 pub struct CsrStreamBuilder<T> {
     cols: u64,
@@ -493,7 +417,8 @@ pub struct CsrStreamBuilder<T> {
     row_ptr: Vec<usize>,
     col_idx: ColBuf,
     values: Vec<T>,
-    cur: Option<(u64, u64, T)>,
+    open: Option<u64>,
+    ends: Vec<u64>,
     closed: u64,
 }
 
@@ -518,17 +443,18 @@ impl<T: Scalar> CsrStreamBuilder<T> {
             row_ptr: vec![0],
             col_idx: ColBuf::new(n),
             values: Vec::new(),
-            cur: None,
+            open: None,
+            ends: Vec::new(),
             closed: lo,
         }
     }
 
-    /// Feeds one `(u, v)` pair; consecutive duplicates accumulate.
+    /// Feeds one `(u, v)` pair.
     ///
     /// # Panics
     ///
-    /// Panics if `u` is outside the builder's row range, `v >= n`, or the
-    /// stream is not sorted by `(row, col)`.
+    /// Panics if `u` is outside the builder's row range, `v >= n`, or `u`
+    /// is smaller than the previous pair's start vertex.
     #[inline]
     pub fn push(&mut self, u: u64, v: u64) {
         assert!(
@@ -538,43 +464,39 @@ impl<T: Scalar> CsrStreamBuilder<T> {
             self.hi
         );
         assert!(v < self.cols, "end vertex {v} out of bounds {}", self.cols);
-        match &mut self.cur {
-            Some((r, c, acc)) if *r == u && *c == v => {
-                *acc = acc.add(T::ONE);
-            }
-            Some((prev_r, prev_c, prev_acc)) => {
-                let (r, c, acc) = (*prev_r, *prev_c, *prev_acc);
-                assert!(
-                    (r, c) < (u, v),
-                    "edges not sorted by (start, end): ({r}, {c}) before ({u}, {v})"
-                );
-                self.col_idx.push(c);
-                self.values.push(acc);
-                while self.closed < u {
-                    self.row_ptr.push(self.col_idx.len());
-                    self.closed += 1;
-                }
-                self.cur = Some((u, v, T::ONE));
-            }
-            None => {
-                while self.closed < u {
-                    self.row_ptr.push(self.col_idx.len());
-                    self.closed += 1;
-                }
-                self.cur = Some((u, v, T::ONE));
-            }
+        if let Some(row) = self.open.filter(|&row| row != u) {
+            assert!(row < u, "edges not sorted by start vertex: {u} after {row}");
+            self.close_row(row);
         }
+        self.open = Some(u);
+        self.ends.push(v);
     }
 
-    fn seal(mut self) -> CsrSegment<T> {
-        if let Some((_, c, acc)) = self.cur.take() {
-            self.col_idx.push(c);
-            self.values.push(acc);
-        }
-        while self.closed < self.hi {
+    /// Pushes the end pointer of every row before `row` not yet closed.
+    fn close_rows_before(&mut self, row: u64) {
+        while self.closed < row {
             self.row_ptr.push(self.col_idx.len());
             self.closed += 1;
         }
+    }
+
+    /// Writes the open row `row` as its sorted, duplicate-counted ends.
+    fn close_row(&mut self, row: u64) {
+        self.close_rows_before(row);
+        self.ends.sort_unstable();
+        for run in self.ends.chunk_by(|a, b| a == b) {
+            self.col_idx.push(run[0]);
+            self.values
+                .push(run.iter().fold(T::ZERO, |acc, _| acc.add(T::ONE)));
+        }
+        self.ends.clear();
+    }
+
+    fn seal(mut self) -> CsrSegment<T> {
+        if let Some(row) = self.open.take() {
+            self.close_row(row);
+        }
+        self.close_rows_before(self.hi);
         CsrSegment {
             lo: self.lo,
             hi: self.hi,
@@ -709,7 +631,7 @@ mod tests {
         let edges = [(0u64, 2u64), (0, 1), (0, 2), (2, 0)];
         let mut sorted = edges;
         sorted.sort_unstable();
-        let m = Csr::<u64>::from_sorted_edges(3, &sorted);
+        let m = Csr::<u64>::from_sorted_edges(3, sorted);
         assert_eq!(m.get(0, 2), Some(2));
         assert_eq!(m.get(0, 1), Some(1));
         assert_eq!(m.get(2, 0), Some(1));
@@ -723,7 +645,7 @@ mod tests {
         let edges: Vec<(u64, u64)> = (0..500u64).map(|i| ((i * 7) % 16, (i * 13) % 16)).collect();
         let mut sorted = edges.clone();
         sorted.sort_unstable_by_key(|&(u, _)| u);
-        let fast = Csr::<u64>::from_sorted_edges(16, &sorted);
+        let fast = Csr::<u64>::from_sorted_edges(16, sorted);
         let slow = Coo::<u64>::from_edges(16, edges).compress();
         assert_eq!(fast, slow);
     }
@@ -731,31 +653,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "not sorted")]
     fn from_unsorted_edges_panics() {
-        let _ = Csr::<u64>::from_sorted_edges(4, &[(2, 0), (1, 0)]);
+        let _ = Csr::<u64>::from_sorted_edges(4, [(2, 0), (1, 0)]);
     }
 
     #[test]
-    fn streaming_construction_equals_slice_construction() {
-        let edges: Vec<(u64, u64)> = (0..800u64).map(|i| ((i * 3) % 32, (i * 17) % 32)).collect();
-        let mut sorted = edges;
-        sorted.sort_unstable_by_key(|&(u, _)| u);
-        let from_slice = Csr::<u64>::from_sorted_edges(32, &sorted);
-        let from_iter = Csr::<u64>::from_sorted_edge_iter(32, sorted.iter().copied());
-        assert_eq!(from_slice, from_iter);
-    }
-
-    #[test]
-    fn streaming_construction_handles_empty_and_single() {
-        let empty = Csr::<u64>::from_sorted_edge_iter(4, std::iter::empty());
-        assert_eq!(empty.nnz(), 0);
-        let one = Csr::<u64>::from_sorted_edge_iter(4, [(2u64, 3u64)]);
+    fn construction_handles_empty_and_single() {
+        let empty = Csr::<u64>::from_sorted_edges(4, std::iter::empty());
+        assert_eq!(empty, Csr::<u64>::zero(4, 4));
+        let one = Csr::<u64>::from_sorted_edges(4, [(2u64, 3u64)]);
         assert_eq!(one.get(2, 3), Some(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "not sorted")]
-    fn streaming_construction_rejects_unsorted() {
-        let _ = Csr::<u64>::from_sorted_edge_iter(4, [(2u64, 0u64), (1, 0)]);
+        assert_eq!(one.nnz(), 1);
     }
 
     fn sorted_pairs(n: u64, count: u64) -> Vec<(u64, u64)> {
@@ -767,9 +674,9 @@ mod tests {
     }
 
     #[test]
-    fn stream_builder_equals_edge_iter_construction() {
+    fn stream_builder_equals_coo_construction() {
         let pairs = sorted_pairs(32, 900);
-        let oracle = Csr::<u64>::from_sorted_edge_iter(32, pairs.iter().copied());
+        let oracle = Coo::<u64>::from_edges(32, pairs.iter().copied()).compress();
         let mut b = CsrStreamBuilder::<u64>::new(32);
         for &(u, v) in &pairs {
             b.push(u, v);
@@ -806,7 +713,7 @@ mod tests {
     #[test]
     fn stream_builder_segments_concat_to_full_matrix() {
         let pairs = sorted_pairs(40, 1200);
-        let oracle = Csr::<u64>::from_sorted_edge_iter(40, pairs.iter().copied());
+        let oracle = Coo::<u64>::from_edges(40, pairs.iter().copied()).compress();
         for buckets in [1u64, 2, 3, 7, 40] {
             let mut segments = Vec::new();
             for b in 0..buckets {
@@ -825,10 +732,11 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "not sorted")]
-    fn stream_builder_rejects_unsorted() {
+    fn stream_builder_rejects_a_start_vertex_decrease() {
         let mut b = CsrStreamBuilder::<u64>::new(4);
         b.push(1, 3);
-        b.push(1, 2);
+        b.push(1, 2); // within-row disorder is fine
+        b.push(0, 1);
     }
 
     #[test]

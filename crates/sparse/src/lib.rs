@@ -15,7 +15,7 @@
 //! * [`ops`] — column/row sums, structural filtering, row normalization;
 //! * [`spmv`] — the row-vector × matrix product in both *scatter* (CSR, as
 //!   written in the paper) and *gather* (transposed, parallelizable) forms,
-//!   including nnz-balanced partitioned kernels with a fused PageRank
+//!   plus the one nnz-balanced parallel kernel with a fused PageRank
 //!   epilogue;
 //! * [`narrow`] — the `u32`-column-index CSR form ([`Csr32`]) that halves
 //!   index bandwidth at every paper scale;

@@ -4,9 +4,11 @@
 //! Every scale the paper benchmarks (16–22) has far fewer than `2^32`
 //! vertices, so the wide `u64` column indices of [`Csr`] waste half the
 //! index bandwidth of the kernel-3 hot loop. [`Csr32`] stores the same
-//! structure with `u32` columns; [`crate::spmv`]'s view-based kernels run
-//! unchanged over either width, and the parallel backend selects the
-//! narrow form automatically whenever [`Csr32::try_from_wide`] succeeds.
+//! structure with `u32` columns. The parallel kernel
+//! ([`crate::spmv::step_fused`]) runs over a [`CsrView`] of either width;
+//! the parallel backend selects the narrow form whenever
+//! [`Csr32::try_from_wide`] succeeds and keeps the wide form only above
+//! `2^32` vertices.
 
 use crate::csr::CsrView;
 use crate::Csr;
@@ -14,9 +16,7 @@ use crate::Csr;
 /// CSR storage with `u32` column indices and `f64` values.
 ///
 /// Structurally identical to [`Csr<f64>`] — same row-pointer layout, same
-/// (row, sorted-column) entry order — only the index width differs, which
-/// is why equality against the wide form ([`Csr32::eq_wide`],
-/// `PartialEq<Csr<f64>>`) is well defined entry-by-entry.
+/// (row, sorted-column) entry order — only the index width differs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Csr32 {
     rows: u64,
@@ -44,36 +44,6 @@ impl Csr32 {
         })
     }
 
-    /// Widens back to the canonical `u64`-index form.
-    pub fn to_wide(&self) -> Csr<f64> {
-        let mut coo = crate::Coo::<f64>::new(self.rows, self.cols);
-        for r in 0..self.rows as usize {
-            let (cols, vals) = self.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                coo.push(r as u64, u64::from(c), v);
-            }
-        }
-        coo.compress()
-    }
-
-    /// Entry-by-entry equality with a wide-index matrix: same shape, same
-    /// row structure, same columns (widened), bitwise-equal values.
-    pub fn eq_wide(&self, wide: &Csr<f64>) -> bool {
-        self.rows == wide.rows()
-            && self.cols == wide.cols()
-            && self.row_ptr == wide.row_ptr()
-            && self
-                .col_idx
-                .iter()
-                .zip(wide.col_indices())
-                .all(|(&n, &w)| u64::from(n) == w)
-            && self
-                .values
-                .iter()
-                .zip(wide.values())
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> u64 {
         self.rows
@@ -94,14 +64,6 @@ impl Csr32 {
         &self.row_ptr
     }
 
-    /// The entries of row `r` as parallel (columns, values) slices.
-    #[inline]
-    pub fn row(&self, r: usize) -> (&[u32], &[f64]) {
-        let lo = self.row_ptr[r];
-        let hi = self.row_ptr[r + 1];
-        (&self.col_idx[lo..hi], &self.values[lo..hi])
-    }
-
     /// A borrowed [`CsrView`] over this matrix's storage.
     pub fn view(&self) -> CsrView<'_, u32> {
         CsrView::from_parts(
@@ -111,12 +73,6 @@ impl Csr32 {
             &self.col_idx,
             &self.values,
         )
-    }
-}
-
-impl PartialEq<Csr<f64>> for Csr32 {
-    fn eq(&self, other: &Csr<f64>) -> bool {
-        self.eq_wide(other)
     }
 }
 
@@ -136,18 +92,13 @@ mod tests {
     }
 
     #[test]
-    fn narrow_roundtrip_preserves_everything() {
+    fn narrowing_preserves_structure_and_values() {
         let wide = sample();
         let narrow = Csr32::try_from_wide(&wide).expect("4 cols fit u32");
         assert_eq!(narrow.rows(), wide.rows());
         assert_eq!(narrow.cols(), wide.cols());
         assert_eq!(narrow.nnz(), wide.nnz());
-        assert!(narrow.eq_wide(&wide));
-        assert!(narrow == wide);
-        let back = narrow.to_wide();
-        assert_eq!(back.row_ptr(), wide.row_ptr());
-        assert_eq!(back.col_indices(), wide.col_indices());
-        assert_eq!(back.values(), wide.values());
+        assert_eq!(narrow.row_ptr(), wide.row_ptr());
     }
 
     #[test]
@@ -157,20 +108,6 @@ mod tests {
         // Exactly 2^32 columns still fits: max index is u32::MAX.
         let edge = Csr::<f64>::zero(2, u64::from(u32::MAX) + 1);
         assert!(Csr32::try_from_wide(&edge).is_some());
-    }
-
-    #[test]
-    fn eq_wide_detects_value_differences() {
-        let wide = sample();
-        let narrow = Csr32::try_from_wide(&wide).unwrap();
-        let mut coo = Coo::<f64>::new(4, 4);
-        coo.push(0, 1, 0.5);
-        coo.push(0, 3, 0.5);
-        coo.push(2, 0, 1.0);
-        coo.push(3, 2, 0.25);
-        coo.push(3, 3, 0.5); // differs
-        let other = coo.compress();
-        assert!(!narrow.eq_wide(&other));
     }
 
     #[test]

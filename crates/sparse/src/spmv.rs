@@ -2,29 +2,31 @@
 //!
 //! The paper writes the PageRank update as a *row vector times matrix*
 //! product `r * A`. On CSR storage that is a **scatter**: each row `u`
-//! contributes `r[u] · A[u, v]` to every `out[v]` it points at. The
-//! alternative is to precompute `Aᵀ` and **gather**: `out[v]` is a dot
-//! product over the incoming edges of `v`. The two forms are numerically
-//! reordered but algebraically identical; the gather form has no write
-//! contention and is what the rayon-parallel kernel uses. Both are exposed
-//! so the ablation bench (scatter vs gather) can measure the difference.
+//! contributes `r[u] · A[u, v]` to every `out[v]` it points at
+//! ([`vxm`], [`vxm_into`] — the serial reference form). The alternative is
+//! to precompute `Aᵀ` and **gather**: `out[v]` is a dot product over the
+//! incoming edges of `v` ([`mxv`] over the transpose). The two forms are
+//! numerically reordered but algebraically identical; the gather form has
+//! no write contention, which is what the parallel kernel exploits.
 //!
-//! The hot-path kernels at the bottom of this module go further, following
-//! the GAP Benchmark Suite playbook for power-law graphs:
+//! The parallel kernel follows the GAP Benchmark Suite playbook for
+//! power-law graphs:
 //!
 //! * [`balanced_boundaries`] partitions rows into chunks of ~equal
 //!   *nonzero* span (binary search on the `row_ptr` offsets), so one hub
 //!   row cannot serialize a whole chunk the way equal-row partitioning
 //!   does;
-//! * [`gather_into`] runs the partitioned gather into a caller-provided
-//!   buffer — no per-iteration allocation;
-//! * [`step_fused`] additionally applies the PageRank epilogue
-//!   (`c·x + teleport (+ dangling term)`) and accumulates the L1 delta and
-//!   the new mass in the same pass, collapsing the three memory sweeps of
-//!   the naive iteration (multiply, scale-and-shift, distance) into one.
+//! * [`step_fused`] runs the partitioned gather into a caller-provided
+//!   buffer and applies the PageRank epilogue
+//!   (`c·x + teleport (+ dangling term)`) while accumulating the L1 delta
+//!   and the new mass in the same pass, collapsing the three memory sweeps
+//!   of the naive iteration (multiply, scale-and-shift, distance) into one.
 //!
-//! All three are generic over the column-index width via [`CsrView`], so
-//! the narrow `u32` form ([`crate::Csr32`]) shares this implementation.
+//! [`step_fused`] is generic over the column-index width via [`CsrView`],
+//! so the narrow `u32` form ([`crate::Csr32`]) shares its implementation;
+//! every gather form uses the same unrolled row dot, so [`mxv`] and a
+//! `step_fused` with damping 1 and no teleport, spread or sink are
+//! bitwise equal.
 
 use rayon::prelude::*;
 
@@ -81,40 +83,12 @@ pub fn mxv(a: &Csr<f64>, x: &[f64]) -> Vec<f64> {
         a.cols(),
         "vector length must equal column count"
     );
-    // Shares the unrolled [`gather_row`] dot with the parallel kernels, so
-    // every gather form produces bit-identical rows.
+    // Shares the unrolled [`gather_row`] dot with [`step_fused`], so both
+    // gather forms produce bit-identical rows.
     let view = a.view();
     (0..a.rows() as usize)
         .map(|r| gather_row(x, &view, r))
         .collect()
-}
-
-/// Gather form of `x * A`, reading a precomputed transpose: pass
-/// `at = a.transpose()` and this equals [`vxm`]`(x, a)` up to floating-point
-/// reassociation.
-pub fn vxm_gather(x: &[f64], at: &Csr<f64>) -> Vec<f64> {
-    mxv(at, x)
-}
-
-/// Rayon-parallel gather `x * A` over a precomputed transpose. Each output
-/// element is an independent reduction, so no synchronization is needed.
-///
-/// Partitions into one nnz-balanced chunk per worker and writes each chunk
-/// through a disjoint output slice — a fixed number of tasks over one
-/// allocation, instead of a task (and several intermediate vectors) per
-/// row, which is what made this kernel lose to its serial twin in the
-/// committed sweeps.
-pub fn par_vxm_gather(x: &[f64], at: &Csr<f64>) -> Vec<f64> {
-    assert_eq!(
-        x.len() as u64,
-        at.cols(),
-        "vector length must equal A's row count"
-    );
-    let mut out = vec![0.0; at.rows() as usize];
-    let chunks = rayon::current_num_threads().max(1);
-    let boundaries = balanced_boundaries(at.row_ptr(), chunks);
-    gather_into(x, &at.view(), &mut out, &boundaries);
-    out
 }
 
 /// Partitions rows `0..rows` into `chunks` contiguous ranges of roughly
@@ -146,7 +120,7 @@ pub fn balanced_boundaries(row_ptr: &[usize], chunks: usize) -> Vec<usize> {
 }
 
 /// Splits `out` into per-chunk mutable slices according to `boundaries`,
-/// pairing each with its starting row, so the parallel kernels can write
+/// pairing each with its starting row, so the parallel kernel can write
 /// disjoint regions without synchronization (and without `unsafe`).
 fn chunk_slices<'a>(out: &'a mut [f64], boundaries: &[usize]) -> Vec<(&'a mut [f64], usize)> {
     assert!(boundaries.len() >= 2, "need at least one chunk");
@@ -193,44 +167,6 @@ fn gather_row<I: ColIndex>(x: &[f64], at: &CsrView<'_, I>, r: usize) -> f64 {
         sum += x[c.to_index()] * w;
     }
     sum
-}
-
-/// nnz-balanced parallel gather `x * A` over a precomputed transpose view,
-/// writing into a caller-provided buffer. Equals [`vxm`] up to
-/// floating-point reassociation; allocates nothing besides the per-chunk
-/// bookkeeping.
-///
-/// `boundaries` comes from [`balanced_boundaries`]`(at.row_ptr(), chunks)`
-/// and is computed once per run, not per iteration.
-///
-/// # Panics
-///
-/// Panics if `x.len() != at.cols()`, `out.len() != at.rows()`, or the
-/// boundary list does not span `0..at.rows()`.
-pub fn gather_into<I: ColIndex>(
-    x: &[f64],
-    at: &CsrView<'_, I>,
-    out: &mut [f64],
-    boundaries: &[usize],
-) {
-    assert_eq!(
-        x.len() as u64,
-        at.cols(),
-        "vector length must equal A's row count"
-    );
-    assert_eq!(
-        out.len() as u64,
-        at.rows(),
-        "output length must equal A's column count"
-    );
-    chunk_slices(out, boundaries)
-        .into_par_iter()
-        .map(|(slice, lo)| {
-            for (k, o) in slice.iter_mut().enumerate() {
-                *o = gather_row(x, at, lo + k);
-            }
-        })
-        .collect::<Vec<()>>();
 }
 
 /// The per-iteration PageRank coefficients [`step_fused`] applies on top
@@ -361,17 +297,32 @@ mod tests {
         assert_eq!(vxm(&x, &a), vec![4.5, 0.5, 2.0]);
     }
 
+    /// Coefficients that reduce [`step_fused`] to the bare product.
+    const IDENTITY: StepCoeffs<'static> = StepCoeffs {
+        damping: 1.0,
+        teleport: 0.0,
+        spread: 0.0,
+        sink: None,
+    };
+
     #[test]
     fn gather_forms_agree_with_scatter() {
         let a = stochastic();
         let at = a.transpose();
         let x = [0.3, 0.5, 0.2];
         let scatter = vxm(&x, &a);
-        let gather = vxm_gather(&x, &at);
-        let par = par_vxm_gather(&x, &at);
+        let gather = mxv(&at, &x);
+        let mut fused = vec![0.0; 3];
+        step_fused(
+            &x,
+            &at.view(),
+            &mut fused,
+            &IDENTITY,
+            &balanced_boundaries(at.row_ptr(), 2),
+        );
         for i in 0..3 {
             assert!((scatter[i] - gather[i]).abs() < 1e-15);
-            assert!((scatter[i] - par[i]).abs() < 1e-15);
+            assert!((scatter[i] - fused[i]).abs() < 1e-15);
         }
     }
 
@@ -454,24 +405,25 @@ mod tests {
     }
 
     #[test]
-    fn gather_into_matches_scatter_for_both_index_widths() {
+    fn identity_step_is_bitwise_mxv_for_both_index_widths() {
         let a = skewed();
         let at = a.transpose();
+        let narrow = crate::Csr32::try_from_wide(&at).unwrap();
         let x: Vec<f64> = (0..6).map(|i| (i as f64 + 1.0) / 21.0).collect();
+        let serial = mxv(&at, &x);
         let oracle = vxm(&x, &a);
-        for chunks in 1..=5 {
+        for chunks in 1..=7 {
             let b = balanced_boundaries(at.row_ptr(), chunks);
-            let mut out = vec![f64::NAN; 6];
-            gather_into(&x, &at.view(), &mut out, &b);
-            for v in 0..6 {
-                assert!((out[v] - oracle[v]).abs() < 1e-14);
-            }
-            let narrow = crate::Csr32::try_from_wide(&at).unwrap();
+            let mut wide = vec![f64::NAN; 6];
+            let got = step_fused(&x, &at.view(), &mut wide, &IDENTITY, &b);
             let mut out32 = vec![f64::NAN; 6];
-            gather_into(&x, &narrow.view(), &mut out32, &b);
+            step_fused(&x, &narrow.view(), &mut out32, &IDENTITY, &b);
             for v in 0..6 {
-                assert_eq!(out32[v].to_bits(), out[v].to_bits());
+                assert_eq!(wide[v].to_bits(), serial[v].to_bits(), "chunks {chunks}");
+                assert_eq!(out32[v].to_bits(), serial[v].to_bits(), "chunks {chunks}");
+                assert!((wide[v] - oracle[v]).abs() < 1e-14);
             }
+            assert!((got.mass - serial.iter().sum::<f64>()).abs() < 1e-14);
         }
     }
 
@@ -544,7 +496,6 @@ mod tests {
         let at = a.transpose();
         let b = balanced_boundaries(at.row_ptr(), 4);
         let mut out: Vec<f64> = Vec::new();
-        gather_into(&[], &at.view(), &mut out, &b);
         let got = step_fused(
             &[],
             &at.view(),

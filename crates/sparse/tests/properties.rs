@@ -1,6 +1,8 @@
 //! Property-based tests for the sparse linear algebra substrate.
 
-use ppbench_sparse::{dense::Dense, eigen, graphblas, ops, spmv, vector, Coo, Csr, Csr32};
+use ppbench_sparse::{
+    dense::Dense, eigen, graphblas, ops, spmv, vector, Coo, Csr, Csr32, CsrStreamBuilder,
+};
 use proptest::prelude::*;
 
 /// Strategy: a random small matrix as raw triplets (duplicates allowed).
@@ -66,21 +68,50 @@ proptest! {
         }
     }
 
-    /// Scatter, gather, and parallel-gather forms all agree.
+    /// The scatter and gather forms agree.
     #[test]
     fn spmv_forms_agree(
         triplets in arb_triplets(10, 60),
         x in proptest::collection::vec(-1.0f64..1.0, 10),
     ) {
         let a = build(10, &triplets).map(|_, _, v| v as f64);
-        let at = a.transpose();
         let scatter = spmv::vxm(&x, &a);
-        let gather = spmv::vxm_gather(&x, &at);
-        let par = spmv::par_vxm_gather(&x, &at);
+        let gather = spmv::mxv(&a.transpose(), &x);
         for i in 0..10 {
             prop_assert!((scatter[i] - gather[i]).abs() < 1e-10);
-            prop_assert!((scatter[i] - par[i]).abs() < 1e-10);
         }
+    }
+
+    /// The stream builder equals the COO oracle on any start-sorted
+    /// stream — ends in arbitrary order within a row, duplicates included
+    /// — whether it builds the whole matrix or `1..k` row segments that
+    /// are then concatenated.
+    #[test]
+    fn stream_builder_matches_coo_on_start_sorted_streams(
+        mut pairs in proptest::collection::vec((0u64..12, 0u64..12), 0..120),
+        cuts in proptest::collection::vec(0u64..=12, 0..5),
+    ) {
+        let oracle = Coo::<u64>::from_edges(12, pairs.iter().copied()).compress();
+        // A stable sort by start vertex keeps the generated end order.
+        pairs.sort_by_key(|&(u, _)| u);
+        prop_assert_eq!(&Csr::<u64>::from_sorted_edges(12, pairs.iter().copied()), &oracle);
+        let mut bounds = cuts;
+        bounds.extend([0, 12]);
+        bounds.sort_unstable();
+        bounds.dedup();
+        let segments: Vec<_> = bounds
+            .windows(2)
+            .map(|w| {
+                let mut b = CsrStreamBuilder::<u64>::for_rows(12, w[0], w[1]);
+                for &(u, v) in pairs.iter().filter(|&&(u, _)| w[0] <= u && u < w[1]) {
+                    b.push(u, v);
+                }
+                b.finish_segment()
+            })
+            .collect();
+        let joined = Csr::from_row_segments(12, segments);
+        joined.check_invariants().unwrap();
+        prop_assert_eq!(joined, oracle);
     }
 
     /// Row normalization produces rows summing to 1 (or staying empty), and
@@ -227,11 +258,11 @@ proptest! {
     }
 
     /// Balanced boundaries always partition the row range monotonically,
-    /// and the parallel gather over them is bitwise identical to the
-    /// serial gather — for any chunk count, on hub-skewed matrices, with
-    /// wide and narrow column indices.
+    /// and the fused step with damping 1 and no teleport, spread or sink
+    /// is bitwise identical to the serial gather — for any chunk count, on
+    /// hub-skewed matrices, with wide and narrow column indices.
     #[test]
-    fn balanced_gather_matches_serial_gather(
+    fn identity_step_fused_matches_serial_gather(
         triplets in arb_skewed_triplets(11, 90),
         x in proptest::collection::vec(-1.0f64..1.0, 11),
         chunks in 1usize..8,
@@ -243,13 +274,14 @@ proptest! {
         prop_assert_eq!(boundaries[0], 0);
         prop_assert_eq!(*boundaries.last().unwrap(), 11);
         prop_assert!(boundaries.windows(2).all(|w| w[0] <= w[1]));
-        let serial = spmv::vxm_gather(&x, &at);
+        let identity = spmv::StepCoeffs { damping: 1.0, teleport: 0.0, spread: 0.0, sink: None };
+        let serial = spmv::mxv(&at, &x);
         let mut wide = vec![0.0; 11];
-        spmv::gather_into(&x, &at.view(), &mut wide, &boundaries);
+        spmv::step_fused(&x, &at.view(), &mut wide, &identity, &boundaries);
         prop_assert_eq!(&wide, &serial);
         let narrow = Csr32::try_from_wide(&at).unwrap();
         let mut out32 = vec![0.0; 11];
-        spmv::gather_into(&x, &narrow.view(), &mut out32, &boundaries);
+        spmv::step_fused(&x, &narrow.view(), &mut out32, &identity, &boundaries);
         prop_assert_eq!(&out32, &serial);
     }
 
