@@ -7,9 +7,7 @@
 //!
 //! * a delimiter match map (`(` ↔ `)`, `[` ↔ `]`, `{` ↔ `}`) over the
 //!   code-token view, so rules can skip argument lists and bodies in O(1);
-//! * item headers: every `fn` with its name and body range, and every
-//!   `const`/`static` with its name and initializer range (the symbol
-//!   index and the cross-file consistency rules key off these);
+//! * `fn` items: every `fn` with its name and body range;
 //! * loop body ranges (`loop`/`while`/`for`), so `Condvar::wait` sites can
 //!   be classified as inside or outside a retry loop.
 //!
@@ -33,18 +31,6 @@ pub struct FnItem {
     pub body: Option<(usize, usize)>,
 }
 
-/// One `const` or `static` item: its name and initializer range.
-#[derive(Debug, Clone)]
-pub struct ConstItem {
-    /// Item name (`ACCEPTED_FIELDS`, …).
-    pub name: String,
-    /// Code index of the name ident.
-    pub name_idx: usize,
-    /// Code-index range `(first, last)` of the initializer expression —
-    /// the tokens strictly between `=` and the terminating `;`.
-    pub value: (usize, usize),
-}
-
 /// The structural view of one file. Built once per file by the engine and
 /// shared by every structural rule.
 pub struct Structure {
@@ -53,8 +39,6 @@ pub struct Structure {
     match_map: Vec<Option<usize>>,
     /// Every `fn` item, in source order.
     pub fns: Vec<FnItem>,
-    /// Every `const`/`static` item, in source order.
-    pub consts: Vec<ConstItem>,
     /// Body ranges (code indices of `{` and `}`) of every `loop`, `while`,
     /// and `for`, in source order.
     loop_bodies: Vec<(usize, usize)>,
@@ -67,10 +51,9 @@ impl Structure {
         let mut s = Structure {
             match_map,
             fns: Vec::new(),
-            consts: Vec::new(),
             loop_bodies: Vec::new(),
         };
-        s.collect_items(file);
+        s.collect_fns(file);
         s.collect_loops(file);
         s
     }
@@ -125,65 +108,28 @@ impl Structure {
         None
     }
 
-    fn collect_items(&mut self, file: &SourceFile) {
-        let n = file.code_len();
-        let mut i = 0;
-        while i < n {
-            match file.code_text(i) {
-                // `fn name` — but not the `fn(args)` of a function-pointer
-                // type, whose next token is `(` (a Punct, so the kind
-                // check below rejects it).
-                "fn" if i + 1 < n && file.code_token(i + 1).kind == TokenKind::Ident => {
-                    let name_idx = i + 1;
-                    let name = file.code_text(name_idx).to_string();
-                    // The body is the first `{` after the header; the
-                    // header can contain `(`/`[` groups (args, array types)
-                    // which scan_to skips whole. A `;` first means a
-                    // bodyless declaration.
-                    let body = self
-                        .scan_to(file, name_idx + 1, |t| t == "{" || t == ";")
-                        .filter(|&j| file.code_text(j) == "{")
-                        .and_then(|j| self.matching(j).map(|e| (j, e)));
-                    self.fns.push(FnItem {
-                        name,
-                        name_idx,
-                        body,
-                    });
-                    if let Some((body_open, _)) = self.fns.last().and_then(|f| f.body) {
-                        // Nested fns are rare here; descend into bodies so
-                        // they are still collected.
-                        i = body_open + 1;
-                        continue;
-                    }
-                    i = name_idx + 1;
-                }
-                // `const NAME: Ty = value;` / `static NAME: Ty = value;`
-                // (skipping `const fn`, handled by the arm above on the
-                // next iteration, and `const _` placeholders).
-                "const" | "static"
-                    if i + 1 < n
-                        && file.code_token(i + 1).kind == TokenKind::Ident
-                        && !matches!(file.code_text(i + 1), "fn" | "mut" | "_") =>
-                {
-                    let name_idx = i + 1;
-                    let eq = self.scan_to(file, name_idx + 1, |t| t == "=" || t == ";");
-                    if let Some(eq) = eq.filter(|&j| file.code_text(j) == "=") {
-                        if let Some(semi) = self.scan_to(file, eq + 1, |t| t == ";") {
-                            if semi > eq + 1 {
-                                self.consts.push(ConstItem {
-                                    name: file.code_text(name_idx).to_string(),
-                                    name_idx,
-                                    value: (eq + 1, semi - 1),
-                                });
-                            }
-                            i = semi + 1;
-                            continue;
-                        }
-                    }
-                    i = name_idx + 1;
-                }
-                _ => i += 1,
+    fn collect_fns(&mut self, file: &SourceFile) {
+        for name_idx in 1..file.code_len() {
+            // `fn name` — but not the `fn(args)` of a function-pointer
+            // type, whose next token is `(` (a Punct, so the kind check
+            // rejects it). Nested fns are collected like any other.
+            if file.code_text(name_idx - 1) != "fn"
+                || file.code_token(name_idx).kind != TokenKind::Ident
+            {
+                continue;
             }
+            // The body is the first `{` after the header; the header can
+            // contain `(`/`[` groups (args, array types) which scan_to
+            // skips whole. A `;` first means a bodyless declaration.
+            let body = self
+                .scan_to(file, name_idx + 1, |t| t == "{" || t == ";")
+                .filter(|&j| file.code_text(j) == "{")
+                .and_then(|j| self.matching(j).map(|e| (j, e)));
+            self.fns.push(FnItem {
+                name: file.code_text(name_idx).to_string(),
+                name_idx,
+                body,
+            });
         }
     }
 
@@ -306,19 +252,6 @@ mod tests {
             .find(|&i| f.code_text(i) == "work")
             .expect("work");
         assert_eq!(s.fn_containing(work).expect("inner").name, "inner");
-    }
-
-    #[test]
-    fn const_items_capture_the_initializer_range() {
-        let f = file("pub const KEYS: &[&str] = &[\"a\", \"b\"];\nstatic N: usize = 3;");
-        let s = Structure::build(&f);
-        let names: Vec<&str> = s.consts.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, ["KEYS", "N"]);
-        let keys = &s.consts[0];
-        let texts: Vec<&str> = (keys.value.0..=keys.value.1)
-            .map(|i| f.code_text(i))
-            .collect();
-        assert!(texts.contains(&"\"a\""), "{texts:?}");
     }
 
     #[test]

@@ -13,13 +13,14 @@
 //! Runs all four kernels, prints per-kernel timings in the paper's
 //! edges/second metric, validation results, and the top-ranked vertices.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::exit;
 
-use ppbench_core::kernel3::DanglingStrategy;
-use ppbench_core::{Pipeline, PipelineConfig, ValidationLevel, Variant, Workload};
+use ppbench_core::json::Json;
+use ppbench_core::{Pipeline, PipelineConfig};
 use ppbench_dist::{run_distributed, DistConfig};
-use ppbench_gen::{GeneratorKind, RmatSampler};
+use ppbench_sort::SortKey;
 
 fn usage() -> ! {
     eprintln!(
@@ -38,8 +39,40 @@ fn usage() -> ! {
     exit(2)
 }
 
+/// Config flags that take a value, and the `PipelineConfig::from_json`
+/// key each one sets.
+const VALUE_FLAGS: [(&str, &str); 14] = [
+    ("--scale", "scale"),
+    ("--edge-factor", "edge_factor"),
+    ("--seed", "seed"),
+    ("--files", "num_files"),
+    ("--variant", "variant"),
+    ("--gen", "gen"),
+    ("--generator", "generator"),
+    ("--workload", "workload"),
+    ("--dangling", "dangling"),
+    ("--converge", "convergence_tolerance"),
+    ("--iterations", "iterations"),
+    ("--damping", "damping"),
+    ("--budget", "sort_budget_bytes"),
+    ("--validate", "validation"),
+];
+
+/// A flag's text as the JSON scalar the codec expects: integers stay
+/// lossless, other numbers become floats, anything else a name.
+fn flag_value(text: String) -> Json {
+    if let Ok(n) = text.parse() {
+        Json::Uint(n)
+    } else if let Ok(x) = text.parse() {
+        Json::Number(x)
+    } else {
+        Json::String(text)
+    }
+}
+
 fn main() {
-    let mut builder = PipelineConfig::builder().scale(14);
+    let mut config = BTreeMap::from([("scale".to_string(), Json::Uint(14))]);
+    let mut input_tsv: Option<PathBuf> = None;
     let mut dir: Option<PathBuf> = None;
     let mut keep = false;
     let mut top = 5usize;
@@ -51,56 +84,27 @@ fn main() {
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
         let mut value = || argv.next().unwrap_or_else(|| usage());
-        builder = match flag.as_str() {
-            "--scale" => builder.scale(value().parse().unwrap_or_else(|_| usage())),
-            "--edge-factor" => builder.edge_factor(value().parse().unwrap_or_else(|_| usage())),
-            "--seed" => builder.seed(value().parse().unwrap_or_else(|_| usage())),
-            "--files" => builder.num_files(value().parse().unwrap_or_else(|_| usage())),
-            "--variant" => builder.variant(Variant::parse(&value()).unwrap_or_else(|| usage())),
-            "--gen" => builder.gen(RmatSampler::parse(&value()).unwrap_or_else(|| usage())),
-            "--generator" => {
-                builder.generator(GeneratorKind::parse(&value()).unwrap_or_else(|| usage()))
+        if let Some(&(_, key)) = VALUE_FLAGS.iter().find(|(f, _)| *f == flag) {
+            config.insert(key.to_string(), flag_value(value()));
+            continue;
+        }
+        match flag.as_str() {
+            "--sort-end" => {
+                let name = SortKey::StartEnd.name().to_string();
+                config.insert("sort_key".to_string(), Json::String(name));
             }
-            "--sort-end" => builder.sort_key(ppbench_sort::SortKey::StartEnd),
-            "--fused" => builder.fused(true),
-            "--workload" => builder.workload(Workload::parse(&value()).unwrap_or_else(|| usage())),
-            "--input-tsv" => builder.input_tsv(PathBuf::from(value())),
-            "--dangling" => {
-                builder.dangling(DanglingStrategy::parse(&value()).unwrap_or_else(|| usage()))
+            "--fused" => {
+                config.insert("fused".to_string(), Json::Bool(true));
             }
-            "--converge" => {
-                builder.convergence_tolerance(value().parse().unwrap_or_else(|_| usage()))
+            "--diagonal" => {
+                config.insert("add_diagonal_to_empty".to_string(), Json::Bool(true));
             }
-            "--iterations" => builder.iterations(value().parse().unwrap_or_else(|_| usage())),
-            "--damping" => builder.damping(value().parse().unwrap_or_else(|_| usage())),
-            "--diagonal" => builder.add_diagonal_to_empty(true),
-            "--budget" => builder.sort_budget_bytes(value().parse().unwrap_or_else(|_| usage())),
-            "--validate" => builder.validation(match value().as_str() {
-                "none" => ValidationLevel::None,
-                "invariants" => ValidationLevel::Invariants,
-                "eigen" => ValidationLevel::Eigenvector,
-                _ => usage(),
-            }),
-            "--dir" => {
-                dir = Some(PathBuf::from(value()));
-                builder
-            }
-            "--keep" => {
-                keep = true;
-                builder
-            }
-            "--top" => {
-                top = value().parse().unwrap_or_else(|_| usage());
-                builder
-            }
-            "--workers" => {
-                workers = Some(value().parse().unwrap_or_else(|_| usage()));
-                builder
-            }
-            "--report" => {
-                report = Some(PathBuf::from(value()));
-                builder
-            }
+            "--input-tsv" => input_tsv = Some(PathBuf::from(value())),
+            "--dir" => dir = Some(PathBuf::from(value())),
+            "--keep" => keep = true,
+            "--top" => top = value().parse().unwrap_or_else(|_| usage()),
+            "--workers" => workers = Some(value().parse().unwrap_or_else(|_| usage())),
+            "--report" => report = Some(PathBuf::from(value())),
             "--threads" => {
                 threads = Some(
                     value()
@@ -108,17 +112,17 @@ fn main() {
                         .ok()
                         .filter(|&n| n >= 1)
                         .unwrap_or_else(|| usage()),
-                );
-                builder
+                )
             }
-            "--json" => {
-                json = true;
-                builder
-            }
+            "--json" => json = true,
             _ => usage(),
-        };
+        }
     }
-    let cfg = builder.build();
+    let mut cfg = PipelineConfig::from_json(&Json::Object(config)).unwrap_or_else(|e| {
+        eprintln!("pprank: {e}");
+        exit(2)
+    });
+    cfg.input_tsv = input_tsv;
 
     // Size the global rayon pool before any parallel stage runs, so every
     // kernel of this process uses exactly the requested worker count and

@@ -109,6 +109,13 @@ pub enum DanglingStrategy {
 }
 
 impl DanglingStrategy {
+    /// Every strategy, spec default first.
+    pub const ALL: [DanglingStrategy; 3] = [
+        DanglingStrategy::Omit,
+        DanglingStrategy::Redistribute,
+        DanglingStrategy::Sink,
+    ];
+
     /// Stable name for CLI flags and reports.
     pub fn name(self) -> &'static str {
         match self {

@@ -61,7 +61,7 @@ pub mod validate;
 pub mod workload;
 
 pub use backend::Variant;
-pub use config::{PipelineConfig, PipelineConfigBuilder, ValidationLevel};
+pub use config::{PipelineConfig, PipelineConfigBuilder, ValidationLevel, LOCAL_ONLY_FIELD};
 pub use error::{Error, Result};
 pub use fused::FusedOutcome;
 pub use kernel3::DanglingStrategy;

@@ -26,7 +26,8 @@ OPTIONS:
                              (results survive restarts) [default: off]
     --disk-cache-bytes <N>   On-disk result-tier byte budget
                              [default: 268435456]
-    --max-scale <N>          Largest accepted scale factor [default: 22]
+    --max-scale <N>          Largest accepted scale factor; also caps the
+                             edge count at 2^N x 16 [default: 22]
     --max-jobs <N>           Finished job records retained before the
                              oldest are evicted [default: 1024]
     --client-quota <N>       Max in-flight jobs per client IP; 0 = no

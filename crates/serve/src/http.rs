@@ -21,10 +21,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ppbench_core::json::{escape_string, Json};
+use ppbench_core::PipelineConfig;
 
 use crate::job::{Job, JobState};
 use crate::metrics::Metrics;
-use crate::request::config_from_json;
 use crate::service::{CancelOutcome, Service, SubmitError};
 
 /// Maximum bytes of request line + headers.
@@ -664,9 +664,9 @@ fn post_run(request: &Request, peer: Option<IpAddr>, service: &Service) -> Respo
         Ok(v) => v,
         Err(e) => return Response::error(400, &format!("invalid JSON: {e}")),
     };
-    let config = match config_from_json(&parsed) {
+    let config = match PipelineConfig::from_json(&parsed) {
         Ok(c) => c,
-        Err(message) => return Response::error(400, &message),
+        Err(e) => return Response::error(400, &e.to_string()),
     };
     match service.submit_from(config, peer) {
         Ok(receipt) => {
@@ -690,7 +690,9 @@ fn post_run(request: &Request, peer: Option<IpAddr>, service: &Service) -> Respo
             r
         }
         Err(SubmitError::Draining) => Response::error(503, "service is draining"),
-        Err(e @ SubmitError::ScaleTooLarge { .. }) => Response::error(400, &e.to_string()),
+        Err(e @ (SubmitError::ScaleTooLarge { .. } | SubmitError::TooManyEdges { .. })) => {
+            Response::error(400, &e.to_string())
+        }
     }
 }
 

@@ -41,7 +41,6 @@ pub mod http;
 pub mod job;
 pub mod loadgen;
 pub mod metrics;
-pub mod request;
 pub mod service;
 
 pub use cache::{DiskCache, ResultCache};
@@ -50,5 +49,4 @@ pub use http::{HttpServer, ServerConfig};
 pub use job::{Job, JobId, JobState, RunSummary};
 pub use loadgen::{run_load, LoadConfig, LoadReport};
 pub use metrics::{Gauges, Metrics};
-pub use request::config_from_json;
 pub use service::{CancelOutcome, Service, ServiceConfig, SubmitError, SubmitReceipt};

@@ -46,7 +46,9 @@ pub struct ServiceConfig {
     /// In-memory result-cache byte budget.
     pub cache_bytes: usize,
     /// Largest accepted scale factor; protects the host from a request
-    /// for 2^40 vertices.
+    /// for 2^40 vertices. It also caps the edge count at the size this
+    /// scale has under the spec's edge factor, 2^max_scale × 16, so a
+    /// small scale with a huge edge factor is refused too.
     pub max_scale: u32,
     /// Maximum terminal (done / failed / cancelled) job records retained;
     /// the oldest are evicted first, so a long-running service does not
@@ -101,6 +103,14 @@ pub enum SubmitError {
         /// The service's limit.
         limit: u32,
     },
+    /// The requested edge count exceeds 2^`max_scale` × the spec's edge
+    /// factor (HTTP 400).
+    TooManyEdges {
+        /// Edge count the client asked for.
+        requested: u64,
+        /// The service's limit.
+        limit: u64,
+    },
 }
 
 impl std::fmt::Display for SubmitError {
@@ -116,6 +126,9 @@ impl std::fmt::Display for SubmitError {
                     f,
                     "scale {requested} exceeds this server's limit of {limit}"
                 )
+            }
+            SubmitError::TooManyEdges { requested, limit } => {
+                write!(f, "{requested} edges exceed this server's limit of {limit}")
             }
         }
     }
@@ -368,6 +381,16 @@ impl Service {
             return Err(SubmitError::ScaleTooLarge {
                 requested: scale,
                 limit: self.inner.cfg.max_scale,
+            });
+        }
+        let edge_limit = 1u64
+            .checked_shl(self.inner.cfg.max_scale)
+            .and_then(|n| n.checked_mul(ppbench_gen::DEFAULT_EDGE_FACTOR))
+            .unwrap_or(u64::MAX);
+        if config.spec.num_edges() > edge_limit {
+            return Err(SubmitError::TooManyEdges {
+                requested: config.spec.num_edges(),
+                limit: edge_limit,
             });
         }
         {
@@ -927,6 +950,30 @@ mod tests {
                 limit: 10
             })
         );
+    }
+
+    #[test]
+    fn oversized_edge_count_is_rejected() {
+        // max_scale 10 admits 2^10 x 16 edges, however they are split
+        // between scale and edge factor.
+        let service = test_service(1, 8);
+        let cfg = PipelineConfig::builder()
+            .scale(4)
+            .edge_factor(1 << 40)
+            .build();
+        assert_eq!(
+            service.submit(cfg),
+            Err(SubmitError::TooManyEdges {
+                requested: 1 << 44,
+                limit: 1 << 14
+            })
+        );
+        let at_limit = PipelineConfig::builder()
+            .scale(4)
+            .edge_factor(1 << 10)
+            .build();
+        assert_eq!(at_limit.spec.num_edges(), 1 << 14);
+        assert!(service.submit(at_limit).is_ok());
     }
 
     #[test]

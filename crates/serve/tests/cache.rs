@@ -9,11 +9,11 @@ use std::time::Duration;
 use ppbench_core::json::Json;
 use ppbench_core::{DanglingStrategy, PipelineConfig, ValidationLevel, Variant};
 use ppbench_gen::GeneratorKind;
-use ppbench_serve::{config_from_json, JobState, ResultCache, RunSummary, Service, ServiceConfig};
+use ppbench_serve::{JobState, ResultCache, RunSummary, Service, ServiceConfig};
 use ppbench_sort::SortKey;
 
 fn parse(body: &str) -> PipelineConfig {
-    config_from_json(&Json::parse(body).unwrap()).unwrap()
+    PipelineConfig::from_json(&Json::parse(body).unwrap()).unwrap()
 }
 
 #[test]

@@ -205,6 +205,24 @@ fn deeply_nested_body_is_a_400_and_the_server_lives_on() {
 }
 
 #[test]
+fn oversized_configs_are_400s_and_the_server_lives_on() {
+    let mut server = TestServer::start(ServerConfig::default());
+    // 2^40 files would abort a worker on a 32 TiB allocation, and 2^44
+    // edges at scale 4 are far beyond what the default max_scale admits.
+    for (body, names) in [
+        (r#"{"scale":4,"num_files":1099511627776}"#, "num_files"),
+        (r#"{"scale":4,"edge_factor":1099511627776}"#, "edges"),
+    ] {
+        let reply = http_request(server.addr, "POST", "/runs", Some(body)).expect("POST /runs");
+        assert_eq!(reply.status, 400, "{body}: {}", reply.body);
+        assert!(reply.body.contains(names), "{body}: {}", reply.body);
+        let health = http_request(server.addr, "GET", "/healthz", None).expect("GET /healthz");
+        assert_eq!(health.status, 200, "{}", health.body);
+    }
+    server.shutdown();
+}
+
+#[test]
 fn connections_in_flight_at_shutdown_still_get_their_response() {
     let mut server = TestServer::start(ServerConfig::default());
     // Open a connection and send only part of the request.

@@ -68,6 +68,22 @@ pub enum SortKey {
 }
 
 impl SortKey {
+    /// Both keys, spec key first.
+    pub const ALL: [SortKey; 2] = [SortKey::Start, SortKey::StartEnd];
+
+    /// Stable name used in canonical configs and the JSON config codec.
+    pub fn name(self) -> &'static str {
+        match self {
+            SortKey::Start => "start",
+            SortKey::StartEnd => "start-end",
+        }
+    }
+
+    /// Parses a [`SortKey::name`]; `None` for unknown names.
+    pub fn parse(s: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|k| k.name() == s)
+    }
+
     /// True if `edges` is sorted under this key.
     pub fn is_sorted(self, edges: &[Edge]) -> bool {
         match self {
@@ -218,6 +234,16 @@ mod tests {
         (0..n)
             .map(|_| Edge::new(rng.next_below(vertex_bound), rng.next_below(vertex_bound)))
             .collect()
+    }
+
+    #[test]
+    fn key_names_roundtrip() {
+        for key in SortKey::ALL {
+            assert_eq!(SortKey::parse(key.name()), Some(key));
+        }
+        assert_eq!(SortKey::Start.name(), "start");
+        assert_eq!(SortKey::StartEnd.name(), "start-end");
+        assert_eq!(SortKey::parse("end"), None);
     }
 
     #[test]
