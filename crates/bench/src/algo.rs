@@ -10,15 +10,15 @@
 //! over explicit thread counts. Because the algo kernels are
 //! bit-deterministic, the comparison against serial is exact equality of
 //! the output vectors, not a tolerance. Results land in
-//! `BENCH_algo.json`; `--check` re-validates that file's schema so CI
-//! catches drift.
+//! `BENCH_algo.json` through [`crate::table`], whose check also holds
+//! every row's `meps` to its own `edges / seconds`.
 
-use ppbench_core::json::{JsonArray, JsonObject};
+use ppbench_core::json::Json;
 use ppbench_core::workload::{self, Workload};
 use ppbench_core::{PipelineConfig, Stopwatch, Variant};
 
-/// Version tag written into the JSON so schema changes are explicit.
-pub const SCHEMA_VERSION: &str = "ppbench-algo-v1";
+use crate::size_pool;
+use crate::table::{point_configs, Cells, Rate, Sweep};
 
 /// The analytics workloads under measurement (every workload except
 /// PageRank, which `k3bench` covers on its own axis).
@@ -42,7 +42,7 @@ impl Default for SweepConfig {
     fn default() -> Self {
         Self {
             scales: vec![12],
-            threads: vec![1, 2, 4, 8],
+            threads: crate::host_threads(),
             edge_factor: 16,
             seed: 1,
         }
@@ -84,19 +84,16 @@ pub struct SweepRow {
 /// then thread order as given.
 pub fn run_sweep(cfg: &SweepConfig) -> Result<Vec<SweepRow>, String> {
     let mut rows = Vec::new();
-    for &scale in &cfg.scales {
-        let matrix = crate::k3::build_matrix(scale, cfg.edge_factor, cfg.seed);
+    for point in cfg.points()? {
+        let scale = point.spec.scale();
+        let matrix = crate::k3::build_matrix(&point);
         for w in ALGO_WORKLOADS {
-            let pipeline_cfg = |variant: Variant| {
-                PipelineConfig::builder()
-                    .scale(scale)
-                    .edge_factor(cfg.edge_factor)
-                    .seed(cfg.seed)
-                    .workload(w)
-                    .variant(variant)
-                    .build()
+            let pipeline_cfg = |variant: Variant| PipelineConfig {
+                workload: w,
+                variant,
+                ..point.clone()
             };
-            crate::k3::size_pool(1)?;
+            size_pool(1)?;
             let serial_cfg = pipeline_cfg(Variant::Naive);
             let sw = Stopwatch::start();
             let serial = workload::run_algo(&serial_cfg, &matrix).map_err(|e| e.to_string())?;
@@ -116,7 +113,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<Vec<SweepRow>, String> {
             });
             let opt_cfg = pipeline_cfg(Variant::Optimized);
             for &threads in &cfg.threads {
-                crate::k3::size_pool(threads)?;
+                size_pool(threads)?;
                 let sw = Stopwatch::start();
                 let out = workload::run_algo(&opt_cfg, &matrix).map_err(|e| e.to_string())?;
                 let seconds = sw.elapsed_secs();
@@ -136,44 +133,51 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<Vec<SweepRow>, String> {
             }
         }
         // Leave the pool unpinned for whatever runs next in this process.
-        crate::k3::size_pool(0)?;
+        size_pool(0)?;
     }
     Ok(rows)
 }
 
-/// Renders the sweep as the canonical `BENCH_algo.json` document.
-pub fn to_json(cfg: &SweepConfig, rows: &[SweepRow]) -> String {
-    let mut results = JsonArray::new();
-    for row in rows {
-        let mut entry = JsonObject::new();
-        entry
-            .set_str("workload", row.workload)
-            .set_str("impl", row.impl_name)
-            .set_u64("scale", u64::from(row.scale))
-            .set_u64("threads", row.threads as u64)
-            .set_u64("vertices", row.vertices)
-            .set_u64("edges", row.edges)
-            .set_f64("seconds", row.seconds)
-            .set_f64("meps", row.meps)
-            .set_u64("stat", row.stat)
-            .set_str("checksum", &format!("{:016x}", row.checksum))
-            .set_bool("matches_serial", row.matches_serial);
-        results.push_obj(&entry);
-    }
-    let mut obj = JsonObject::new();
-    obj.set_str("benchmark", SCHEMA_VERSION)
-        .set_u64("edge_factor", cfg.edge_factor)
-        .set_raw("results", results.render())
-        .set_u64("seed", cfg.seed);
-    obj.render()
-}
+impl Sweep for SweepConfig {
+    type Row = SweepRow;
+    const VERSION: &'static str = "ppbench-algo-v1";
+    const FILE: &'static str = "BENCH_algo.json";
+    const RATES: &'static [Rate] = &[Rate::new("meps", &["edges"], 1e-6)];
 
-/// Validates a `BENCH_algo.json` document: it must parse, carry this sweep's
-/// version tag and at least one row, and have exactly the top-level and
-/// row keys [`to_json`] emits for a default config and row.
-pub fn check_schema(text: &str) -> Result<(), String> {
-    let reference = to_json(&SweepConfig::default(), &[SweepRow::default()]);
-    crate::schema::check_flat_schema(text, &reference).map(drop)
+    fn header(&self) -> Cells {
+        vec![
+            ("edge_factor", Json::Uint(self.edge_factor)),
+            ("seed", Json::Uint(self.seed)),
+        ]
+    }
+
+    fn cells(row: &SweepRow) -> Cells {
+        vec![
+            ("scale", Json::Uint(u64::from(row.scale))),
+            ("workload", Json::String(row.workload.to_string())),
+            ("impl", Json::String(row.impl_name.to_string())),
+            ("threads", Json::Uint(row.threads as u64)),
+            ("vertices", Json::Uint(row.vertices)),
+            ("edges", Json::Uint(row.edges)),
+            ("seconds", Json::Number(row.seconds)),
+            ("meps", Json::Number(row.meps)),
+            ("stat", Json::Uint(row.stat)),
+            ("checksum", Json::String(format!("{:016x}", row.checksum))),
+            ("matches_serial", Json::Bool(row.matches_serial)),
+        ]
+    }
+
+    fn points(&self) -> Result<Vec<PipelineConfig>, String> {
+        let fields = [
+            ("edge_factor", Json::Uint(self.edge_factor)),
+            ("seed", Json::Uint(self.seed)),
+        ];
+        point_configs(&self.scales, &fields)
+    }
+
+    fn run(&self) -> Result<Vec<SweepRow>, String> {
+        run_sweep(self)
+    }
 }
 
 #[cfg(test)]
@@ -193,6 +197,8 @@ mod tests {
     fn sweep_covers_every_workload_and_matches_serial() {
         let cfg = tiny_cfg();
         let rows = run_sweep(&cfg).unwrap();
+        // Measured rows satisfy their own shape and rate checks.
+        crate::table::check::<SweepConfig>(&crate::table::render(&cfg, &rows)).unwrap();
         // 4 workloads × (1 serial + 2 optimized thread counts).
         assert_eq!(rows.len(), 4 * 3);
         for w in ALGO_WORKLOADS {
@@ -220,31 +226,5 @@ mod tests {
                 w.name()
             );
         }
-    }
-
-    #[test]
-    fn json_roundtrip_passes_schema_check() {
-        let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
-        let json = to_json(&cfg, &rows);
-        check_schema(&json).unwrap();
-    }
-
-    #[test]
-    fn schema_check_rejects_drift_in_both_directions() {
-        let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
-        let json = to_json(&cfg, &rows);
-        // Missing row key.
-        let missing = json.replacen("\"meps\":", "\"mepz\":", 1);
-        assert!(check_schema(&missing).is_err());
-        // Extra top-level key.
-        let extra = json.replacen("{\"benchmark\"", "{\"bonus\":1,\"benchmark\"", 1);
-        assert!(check_schema(&extra).is_err());
-        // Wrong version tag.
-        let wrong = json.replace(SCHEMA_VERSION, "ppbench-algo-v9");
-        assert!(check_schema(&wrong).is_err());
-        // Empty results.
-        assert!(check_schema(&to_json(&cfg, &[])).is_err());
     }
 }

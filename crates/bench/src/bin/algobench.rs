@@ -1,120 +1,42 @@
-//! Analytics-workload microbench driver.
+//! Analytics-workload microbench driver: sweeps BFS, CC, SSSP and TC
+//! (serial oracle plus the optimized kernel at each thread count) over
+//! the kernel-2 matrices the pipeline produces and writes
+//! `BENCH_algo.json`.
 //!
 //! ```text
-//! cargo run --release -p ppbench-bench --bin algobench -- \
-//!     [--scales LO:HI] [--threads 1,2,4,8] [--edge-factor K] [--seed N] \
-//!     [--out PATH]
+//! cargo run --release -p ppbench-bench --bin algobench -- --scales 8:9 --threads 1,2
 //! cargo run -p ppbench-bench --bin algobench -- --check BENCH_algo.json
 //! ```
-//!
-//! Sweeps the `ppbench-algo` workloads (BFS, CC, SSSP, TC) — serial
-//! oracle plus the optimized kernel at explicit thread counts — over the
-//! same kernel-2 matrices the pipeline produces, prints a human-readable
-//! table, and writes the canonical-JSON trajectory file. `--check`
-//! validates an existing file against the expected schema and exits
-//! nonzero on drift.
 
-use std::process::exit;
+use std::process::ExitCode;
 
-use ppbench_bench::algo::{self, SweepConfig};
-use ppbench_bench::k3;
+use ppbench_bench::algo::SweepConfig;
+use ppbench_bench::cli::{self, Flag};
+use ppbench_bench::{parse_scale_list, parse_thread_list};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: algobench [--scales LO:HI] [--threads N,N,...] [--edge-factor K]\n\
-         \x20                [--seed N] [--out PATH]\n\
-         \x20       algobench --check PATH   (validate an existing BENCH_algo.json)"
-    );
-    exit(2)
-}
+const FLAGS: &[Flag<SweepConfig>] = &[
+    Flag {
+        name: "--scales",
+        value: Some("LO:HI,N,..."),
+        set: |c, v| parse_scale_list(v).map(|n| c.scales = n),
+    },
+    Flag {
+        name: "--threads",
+        value: Some("N,N,..."),
+        set: |c, v| parse_thread_list(v).map(|n| c.threads = n),
+    },
+    Flag {
+        name: "--edge-factor",
+        value: Some("K"),
+        set: |c, v| v.parse().ok().map(|n| c.edge_factor = n),
+    },
+    Flag {
+        name: "--seed",
+        value: Some("N"),
+        set: |c, v| v.parse().ok().map(|n| c.seed = n),
+    },
+];
 
-fn main() {
-    let mut cfg = SweepConfig::default();
-    let mut out = std::path::PathBuf::from("BENCH_algo.json");
-    let mut check: Option<std::path::PathBuf> = None;
-
-    let mut argv = std::env::args().skip(1);
-    while let Some(flag) = argv.next() {
-        let mut value = || argv.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--scales" => {
-                cfg.scales = ppbench_bench::parse_scale_range(&value())
-                    .unwrap_or_else(|| usage())
-                    .collect();
-            }
-            "--threads" => {
-                cfg.threads = k3::parse_thread_list(&value()).unwrap_or_else(|| usage());
-            }
-            "--edge-factor" => cfg.edge_factor = value().parse().unwrap_or_else(|_| usage()),
-            "--seed" => cfg.seed = value().parse().unwrap_or_else(|_| usage()),
-            "--out" => out = std::path::PathBuf::from(value()),
-            "--check" => check = Some(std::path::PathBuf::from(value())),
-            _ => usage(),
-        }
-    }
-
-    // Validation mode: no measurement, just the schema gate CI relies on.
-    if let Some(path) = check {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", path.display());
-                exit(1);
-            }
-        };
-        match algo::check_schema(&text) {
-            Ok(()) => {
-                println!("{}: schema ok ({})", path.display(), algo::SCHEMA_VERSION);
-                return;
-            }
-            Err(e) => {
-                eprintln!("{}: schema drift: {e}", path.display());
-                exit(1);
-            }
-        }
-    }
-
-    let rows = match algo::run_sweep(&cfg) {
-        Ok(rows) => rows,
-        Err(e) => {
-            eprintln!("sweep failed: {e}");
-            exit(1);
-        }
-    };
-
-    println!(
-        "{:>5} {:>8} {:>10} {:>7} {:>12} {:>12} {:>10} {:>10} {:>12} {:>7}",
-        "scale",
-        "workload",
-        "impl",
-        "threads",
-        "vertices",
-        "edges",
-        "seconds",
-        "MEPS",
-        "stat",
-        "match"
-    );
-    for r in &rows {
-        println!(
-            "{:>5} {:>8} {:>10} {:>7} {:>12} {:>12} {:>10.4} {:>10.2} {:>12} {:>7}",
-            r.scale,
-            r.workload,
-            r.impl_name,
-            r.threads,
-            r.vertices,
-            r.edges,
-            r.seconds,
-            r.meps,
-            r.stat,
-            r.matches_serial
-        );
-    }
-
-    let json = algo::to_json(&cfg, &rows);
-    if let Err(e) = std::fs::write(&out, format!("{json}\n")) {
-        eprintln!("failed to write {}: {e}", out.display());
-        exit(1);
-    }
-    println!("wrote {}", out.display());
+fn main() -> ExitCode {
+    cli::main("algobench", FLAGS)
 }

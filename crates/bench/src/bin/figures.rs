@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p ppbench-bench --bin figures -- \
-//!     [--kernel 0|1|2|3|all] [--scales lo:hi] [--edge-factor K] \
+//!     [--kernel 0|1|2|3|all] [--scales LO:HI,N,...] [--edge-factor K] \
 //!     [--variants opt,naive,df,par] [--csv out.csv] [--seed N] [--files N]
 //! ```
 //!
@@ -13,7 +13,7 @@
 
 use std::process::exit;
 
-use ppbench_bench::{parse_scale_range, plot, sweep};
+use ppbench_bench::{parse_scale_list, plot, sweep};
 use ppbench_core::Variant;
 
 struct Args {
@@ -25,7 +25,7 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: figures [--kernel 0|1|2|3|all] [--scales lo:hi] [--edge-factor K]\n\
+        "usage: figures [--kernel 0|1|2|3|all] [--scales LO:HI,N,...] [--edge-factor K]\n\
          \x20              [--variants a,b,...] [--csv out.csv] [--seed N] [--files N] [--model]"
     );
     exit(2)
@@ -54,11 +54,7 @@ fn parse_args() -> Args {
                         .unwrap_or_else(|| usage())],
                 };
             }
-            "--scales" => {
-                cfg.scales = parse_scale_range(&value())
-                    .unwrap_or_else(|| usage())
-                    .collect();
-            }
+            "--scales" => cfg.scales = parse_scale_list(&value()).unwrap_or_else(|| usage()),
             "--edge-factor" => cfg.edge_factor = value().parse().unwrap_or_else(|_| usage()),
             "--seed" => cfg.seed = value().parse().unwrap_or_else(|_| usage()),
             "--files" => cfg.num_files = value().parse().unwrap_or_else(|_| usage()),

@@ -1,153 +1,75 @@
-//! K0→K1 front-end microbench driver.
+//! K0→K1 front-end microbench driver: sweeps the kernel-0 write
+//! strategies (materialize, stream, sharded) under each R-MAT sampler and
+//! the kernel-1 sort paths (in-memory, external, pipelined) over thread
+//! counts and scales and writes `BENCH_k01.json`. The max-scale caps let
+//! one sweep mix a full comparison matrix at moderate scales with
+//! linear-only kernel-0 stress points at the top end.
 //!
 //! ```text
-//! cargo run --release -p ppbench-bench --bin k01bench -- \
-//!     [--scales LO:HI,N,...] [--threads 1,2,4] [--edge-factor K] [--seed N] \
-//!     [--num-files N] [--budget-divisor D] [--trials N] \
-//!     [--gens faithful,linear] [--faithful-max-scale S] [--k1-max-scale S] \
-//!     [--out PATH]
+//! cargo run --release -p ppbench-bench --bin k01bench -- --scales 16:18,22 --threads 1,2
 //! cargo run -p ppbench-bench --bin k01bench -- --check BENCH_k01.json
 //! ```
-//!
-//! Sweeps the kernel-0 write strategies (materialize, stream, sharded)
-//! under each requested R-MAT sampler and the kernel-1 sort paths
-//! (in-memory, external, pipelined) over explicit thread counts and
-//! scales, prints a human-readable table, and writes the canonical-JSON
-//! trajectory file. The max-scale caps let one sweep mix a full
-//! comparison matrix at moderate scales with linear-only kernel-0 stress
-//! points at the top end. `--check` validates an existing file against
-//! the expected schema (shape plus rate consistency) and exits nonzero
-//! on drift.
 
-use std::process::exit;
+use std::process::ExitCode;
 
-use ppbench_bench::k01::{self, SweepConfig};
-use ppbench_bench::k3::parse_thread_list;
+use ppbench_bench::cli::{self, Flag};
+use ppbench_bench::k01::SweepConfig;
+use ppbench_bench::{parse_list, parse_positive, parse_scale_list, parse_thread_list};
 use ppbench_gen::RmatSampler;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: k01bench [--scales LO:HI,N,...] [--threads N,N,...] [--edge-factor K]\n\
-         \x20               [--seed N] [--num-files N] [--budget-divisor D]\n\
-         \x20               [--trials N] [--gens faithful,linear]\n\
-         \x20               [--faithful-max-scale S] [--k1-max-scale S] [--out PATH]\n\
-         \x20       k01bench --check PATH   (validate an existing BENCH_k01.json)"
-    );
-    exit(2)
-}
+const FLAGS: &[Flag<SweepConfig>] = &[
+    Flag {
+        name: "--scales",
+        value: Some("LO:HI,N,..."),
+        set: |c, v| parse_scale_list(v).map(|n| c.scales = n),
+    },
+    Flag {
+        name: "--threads",
+        value: Some("N,N,..."),
+        set: |c, v| parse_thread_list(v).map(|n| c.threads = n),
+    },
+    Flag {
+        name: "--edge-factor",
+        value: Some("K"),
+        set: |c, v| v.parse().ok().map(|n| c.edge_factor = n),
+    },
+    Flag {
+        name: "--seed",
+        value: Some("N"),
+        set: |c, v| v.parse().ok().map(|n| c.seed = n),
+    },
+    Flag {
+        name: "--num-files",
+        value: Some("N"),
+        set: |c, v| v.parse().ok().map(|n| c.num_files = n),
+    },
+    Flag {
+        name: "--budget-divisor",
+        value: Some("D"),
+        set: |c, v| parse_positive(v).map(|n| c.budget_divisor = n),
+    },
+    Flag {
+        name: "--trials",
+        value: Some("N"),
+        set: |c, v| parse_positive(v).map(|n| c.trials = n),
+    },
+    Flag {
+        name: "--gens",
+        value: Some("faithful,linear"),
+        set: |c, v| parse_list(v, RmatSampler::parse).map(|n| c.gens = n),
+    },
+    Flag {
+        name: "--faithful-max-scale",
+        value: Some("S"),
+        set: |c, v| v.parse().ok().map(|n| c.faithful_max_scale = Some(n)),
+    },
+    Flag {
+        name: "--k1-max-scale",
+        value: Some("S"),
+        set: |c, v| v.parse().ok().map(|n| c.k1_max_scale = Some(n)),
+    },
+];
 
-/// Parses the `--gens` comma list into samplers, rejecting unknown names.
-fn parse_gen_list(s: &str) -> Option<Vec<RmatSampler>> {
-    let gens: Option<Vec<RmatSampler>> = s.split(',').map(RmatSampler::parse).collect();
-    gens.filter(|g| !g.is_empty())
-}
-
-fn main() {
-    let mut cfg = SweepConfig::default();
-    let mut out = std::path::PathBuf::from("BENCH_k01.json");
-    let mut check: Option<std::path::PathBuf> = None;
-
-    let mut argv = std::env::args().skip(1);
-    while let Some(flag) = argv.next() {
-        let mut value = || argv.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--scales" => {
-                cfg.scales = ppbench_bench::parse_scale_list(&value()).unwrap_or_else(|| usage());
-            }
-            "--gens" => {
-                cfg.gens = parse_gen_list(&value()).unwrap_or_else(|| usage());
-            }
-            "--faithful-max-scale" => {
-                cfg.faithful_max_scale = Some(value().parse().unwrap_or_else(|_| usage()));
-            }
-            "--k1-max-scale" => {
-                cfg.k1_max_scale = Some(value().parse().unwrap_or_else(|_| usage()));
-            }
-            "--threads" => {
-                cfg.threads = parse_thread_list(&value()).unwrap_or_else(|| usage());
-            }
-            "--edge-factor" => cfg.edge_factor = value().parse().unwrap_or_else(|_| usage()),
-            "--seed" => cfg.seed = value().parse().unwrap_or_else(|_| usage()),
-            "--num-files" => {
-                cfg.num_files = value()
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage());
-            }
-            "--budget-divisor" => {
-                cfg.budget_divisor = value()
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage());
-            }
-            "--trials" => {
-                cfg.trials = value()
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage());
-            }
-            "--out" => out = std::path::PathBuf::from(value()),
-            "--check" => check = Some(std::path::PathBuf::from(value())),
-            _ => usage(),
-        }
-    }
-
-    // Validation mode: no measurement, just the schema gate CI relies on.
-    if let Some(path) = check {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", path.display());
-                exit(1);
-            }
-        };
-        match k01::check_schema(&text) {
-            Ok(()) => {
-                println!("{}: schema ok ({})", path.display(), k01::SCHEMA_VERSION);
-                return;
-            }
-            Err(e) => {
-                eprintln!("{}: schema drift: {e}", path.display());
-                exit(1);
-            }
-        }
-    }
-
-    let rows = match k01::run_sweep(&cfg) {
-        Ok(rows) => rows,
-        Err(e) => {
-            eprintln!("sweep failed: {e}");
-            exit(1);
-        }
-    };
-
-    println!(
-        "{:>5} {:>6} {:>9} {:>12} {:>7} {:>12} {:>10} {:>10} {:>10} {:>8}",
-        "scale", "kernel", "gen", "variant", "threads", "edges", "MB", "seconds", "MB/s", "GB/s"
-    );
-    for r in &rows {
-        println!(
-            "{:>5} {:>6} {:>9} {:>12} {:>7} {:>12} {:>10.2} {:>10.4} {:>10.2} {:>8.4}",
-            r.scale,
-            r.kernel,
-            r.gen,
-            r.variant,
-            r.threads,
-            r.edges,
-            r.mbytes,
-            r.seconds,
-            r.mb_per_s,
-            r.gb_per_s
-        );
-    }
-
-    let json = k01::to_json(&cfg, &rows);
-    if let Err(e) = std::fs::write(&out, format!("{json}\n")) {
-        eprintln!("failed to write {}: {e}", out.display());
-        exit(1);
-    }
-    println!("wrote {}", out.display());
+fn main() -> ExitCode {
+    cli::main("k01bench", FLAGS)
 }

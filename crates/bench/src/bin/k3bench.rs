@@ -1,116 +1,56 @@
-//! Kernel-3 microbench driver.
+//! Kernel-3 microbench driver: sweeps the SpMV variants (serial scatter
+//! and gather, the nnz-balanced fused kernel over narrow indices) over
+//! thread counts and scales and writes `BENCH_k3.json`.
 //!
 //! ```text
-//! cargo run --release -p ppbench-bench --bin k3bench -- \
-//!     [--scales LO:HI] [--threads 1,2,4,8] [--edge-factor K] [--seed N] \
-//!     [--iterations N] [--damping C] [--trials N] [--out PATH]
+//! cargo run --release -p ppbench-bench --bin k3bench -- --scales 10:12 --threads 1,2
 //! cargo run -p ppbench-bench --bin k3bench -- --check BENCH_k3.json
 //! ```
-//!
-//! Sweeps the kernel-3 SpMV variants (scatter, gather, parallel gather,
-//! nnz-balanced fused with wide and narrow indices) over explicit thread
-//! counts and scales, prints a human-readable table, and writes the
-//! canonical-JSON trajectory file. `--check` validates an existing file
-//! against the expected schema and exits nonzero on drift.
 
-use std::process::exit;
+use std::process::ExitCode;
 
-use ppbench_bench::k3::{self, SweepConfig};
+use ppbench_bench::cli::{self, Flag};
+use ppbench_bench::k3::SweepConfig;
+use ppbench_bench::{parse_positive, parse_scale_list, parse_thread_list};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: k3bench [--scales LO:HI] [--threads N,N,...] [--edge-factor K]\n\
-         \x20              [--seed N] [--iterations N] [--damping C] [--trials N]\n\
-         \x20              [--out PATH]\n\
-         \x20       k3bench --check PATH   (validate an existing BENCH_k3.json)"
-    );
-    exit(2)
-}
+const FLAGS: &[Flag<SweepConfig>] = &[
+    Flag {
+        name: "--scales",
+        value: Some("LO:HI,N,..."),
+        set: |c, v| parse_scale_list(v).map(|n| c.scales = n),
+    },
+    Flag {
+        name: "--threads",
+        value: Some("N,N,..."),
+        set: |c, v| parse_thread_list(v).map(|n| c.threads = n),
+    },
+    Flag {
+        name: "--edge-factor",
+        value: Some("K"),
+        set: |c, v| v.parse().ok().map(|n| c.edge_factor = n),
+    },
+    Flag {
+        name: "--seed",
+        value: Some("N"),
+        set: |c, v| v.parse().ok().map(|n| c.seed = n),
+    },
+    Flag {
+        name: "--iterations",
+        value: Some("N"),
+        set: |c, v| v.parse().ok().map(|n| c.iterations = n),
+    },
+    Flag {
+        name: "--damping",
+        value: Some("C"),
+        set: |c, v| v.parse().ok().map(|n| c.damping = n),
+    },
+    Flag {
+        name: "--trials",
+        value: Some("N"),
+        set: |c, v| parse_positive(v).map(|n| c.trials = n),
+    },
+];
 
-fn main() {
-    let mut cfg = SweepConfig::default();
-    let mut out = std::path::PathBuf::from("BENCH_k3.json");
-    let mut check: Option<std::path::PathBuf> = None;
-
-    let mut argv = std::env::args().skip(1);
-    while let Some(flag) = argv.next() {
-        let mut value = || argv.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--scales" => {
-                cfg.scales = ppbench_bench::parse_scale_range(&value())
-                    .unwrap_or_else(|| usage())
-                    .collect();
-            }
-            "--threads" => {
-                cfg.threads = k3::parse_thread_list(&value()).unwrap_or_else(|| usage());
-            }
-            "--edge-factor" => cfg.edge_factor = value().parse().unwrap_or_else(|_| usage()),
-            "--seed" => cfg.seed = value().parse().unwrap_or_else(|_| usage()),
-            "--iterations" => {
-                cfg.iterations = value()
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage());
-            }
-            "--damping" => cfg.damping = value().parse().unwrap_or_else(|_| usage()),
-            "--trials" => {
-                cfg.trials = value()
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage());
-            }
-            "--out" => out = std::path::PathBuf::from(value()),
-            "--check" => check = Some(std::path::PathBuf::from(value())),
-            _ => usage(),
-        }
-    }
-
-    // Validation mode: no measurement, just the schema gate CI relies on.
-    if let Some(path) = check {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", path.display());
-                exit(1);
-            }
-        };
-        match k3::check_schema(&text) {
-            Ok(()) => {
-                println!("{}: schema ok ({})", path.display(), k3::SCHEMA_VERSION);
-                return;
-            }
-            Err(e) => {
-                eprintln!("{}: schema drift: {e}", path.display());
-                exit(1);
-            }
-        }
-    }
-
-    let rows = match k3::run_sweep(&cfg) {
-        Ok(rows) => rows,
-        Err(e) => {
-            eprintln!("sweep failed: {e}");
-            exit(1);
-        }
-    };
-
-    println!(
-        "{:>5} {:>20} {:>7} {:>12} {:>12} {:>10} {:>9} {:>12}",
-        "scale", "variant", "threads", "vertices", "nnz", "seconds", "GFLOPs", "L1 vs serial"
-    );
-    for r in &rows {
-        println!(
-            "{:>5} {:>20} {:>7} {:>12} {:>12} {:>10.4} {:>9.4} {:>12.3e}",
-            r.scale, r.variant, r.threads, r.vertices, r.nnz, r.seconds, r.gflops, r.l1_vs_serial
-        );
-    }
-
-    let json = k3::to_json(&cfg, &rows);
-    if let Err(e) = std::fs::write(&out, format!("{json}\n")) {
-        eprintln!("failed to write {}: {e}", out.display());
-        exit(1);
-    }
-    println!("wrote {}", out.display());
+fn main() -> ExitCode {
+    cli::main("k3bench", FLAGS)
 }

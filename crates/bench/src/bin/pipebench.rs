@@ -1,125 +1,53 @@
-//! Staged-vs-fused end-to-end pipeline bench driver.
+//! Staged-vs-fused end-to-end pipeline bench driver: measures the K1→K2
+//! data path, the staged serial baseline against the fused path at each
+//! thread count, with every repetition gated on a bit-identical matrix,
+//! filter stats and sorted-stream digest, and writes
+//! `BENCH_pipeline.json`.
 //!
 //! ```text
-//! cargo run --release -p ppbench-bench --bin pipebench -- \
-//!     [--scales LO:HI] [--threads 1,2,4] [--edge-factor K] [--seed N] \
-//!     [--num-files N] [--trials N] [--out PATH]
+//! cargo run --release -p ppbench-bench --bin pipebench -- --scales 10:11 --threads 1,2
 //! cargo run -p ppbench-bench --bin pipebench -- --check BENCH_pipeline.json
 //! ```
-//!
-//! Measures the K1→K2 data path end to end — the staged serial baseline
-//! (sort to disk, re-read, build) against the fused path (CSR built
-//! straight from the merge stream) at each requested thread count — and
-//! writes the canonical-JSON trajectory file. Every repetition is gated
-//! on bit-identical matrix, filter stats, and sorted-stream digest
-//! against the staged reference, so a fast-but-wrong fused run fails the
-//! sweep instead of producing a row. `--check` validates an existing
-//! file against the expected schema and exits nonzero on drift.
 
-use std::process::exit;
+use std::process::ExitCode;
 
-use ppbench_bench::k3::parse_thread_list;
-use ppbench_bench::pipe::{self, SweepConfig};
+use ppbench_bench::cli::{self, Flag};
+use ppbench_bench::pipe::SweepConfig;
+use ppbench_bench::{parse_positive, parse_scale_list, parse_thread_list};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: pipebench [--scales LO:HI] [--threads N,N,...] [--edge-factor K]\n\
-         \x20               [--seed N] [--num-files N] [--trials N] [--out PATH]\n\
-         \x20       pipebench --check PATH   (validate an existing BENCH_pipeline.json)"
-    );
-    exit(2)
-}
+const FLAGS: &[Flag<SweepConfig>] = &[
+    Flag {
+        name: "--scales",
+        value: Some("LO:HI,N,..."),
+        set: |c, v| parse_scale_list(v).map(|n| c.scales = n),
+    },
+    Flag {
+        name: "--threads",
+        value: Some("N,N,..."),
+        set: |c, v| parse_thread_list(v).map(|n| c.threads = n),
+    },
+    Flag {
+        name: "--edge-factor",
+        value: Some("K"),
+        set: |c, v| v.parse().ok().map(|n| c.edge_factor = n),
+    },
+    Flag {
+        name: "--seed",
+        value: Some("N"),
+        set: |c, v| v.parse().ok().map(|n| c.seed = n),
+    },
+    Flag {
+        name: "--num-files",
+        value: Some("N"),
+        set: |c, v| v.parse().ok().map(|n| c.num_files = n),
+    },
+    Flag {
+        name: "--trials",
+        value: Some("N"),
+        set: |c, v| parse_positive(v).map(|n| c.trials = n),
+    },
+];
 
-fn main() {
-    let mut cfg = SweepConfig::default();
-    let mut out = std::path::PathBuf::from("BENCH_pipeline.json");
-    let mut check: Option<std::path::PathBuf> = None;
-
-    let mut argv = std::env::args().skip(1);
-    while let Some(flag) = argv.next() {
-        let mut value = || argv.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--scales" => {
-                cfg.scales = ppbench_bench::parse_scale_range(&value())
-                    .unwrap_or_else(|| usage())
-                    .collect();
-            }
-            "--threads" => {
-                cfg.threads = parse_thread_list(&value()).unwrap_or_else(|| usage());
-            }
-            "--edge-factor" => cfg.edge_factor = value().parse().unwrap_or_else(|_| usage()),
-            "--seed" => cfg.seed = value().parse().unwrap_or_else(|_| usage()),
-            "--num-files" => {
-                cfg.num_files = value()
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage());
-            }
-            "--trials" => {
-                cfg.trials = value()
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage());
-            }
-            "--out" => out = std::path::PathBuf::from(value()),
-            "--check" => check = Some(std::path::PathBuf::from(value())),
-            _ => usage(),
-        }
-    }
-
-    // Validation mode: no measurement, just the schema gate CI relies on.
-    if let Some(path) = check {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", path.display());
-                exit(1);
-            }
-        };
-        match pipe::check_schema(&text) {
-            Ok(()) => {
-                println!("{}: schema ok ({})", path.display(), pipe::SCHEMA_VERSION);
-                return;
-            }
-            Err(e) => {
-                eprintln!("{}: schema drift: {e}", path.display());
-                exit(1);
-            }
-        }
-    }
-
-    let rows = match pipe::run_sweep(&cfg) {
-        Ok(rows) => rows,
-        Err(e) => {
-            eprintln!("sweep failed: {e}");
-            exit(1);
-        }
-    };
-
-    println!(
-        "{:>5} {:>7} {:>7} {:>12} {:>10} {:>10} {:>10} {:>12}",
-        "scale", "mode", "threads", "edges", "k1 (s)", "k2 (s)", "total (s)", "edges/s"
-    );
-    for r in &rows {
-        println!(
-            "{:>5} {:>7} {:>7} {:>12} {:>10.4} {:>10.4} {:>10.4} {:>12.3e}",
-            r.scale,
-            r.mode,
-            r.threads,
-            r.edges,
-            r.k1_seconds,
-            r.k2_seconds,
-            r.seconds,
-            r.edges_per_s
-        );
-    }
-
-    let json = pipe::to_json(&cfg, &rows);
-    if let Err(e) = std::fs::write(&out, format!("{json}\n")) {
-        eprintln!("failed to write {}: {e}", out.display());
-        exit(1);
-    }
-    println!("wrote {}", out.display());
+fn main() -> ExitCode {
+    cli::main("pipebench", FLAGS)
 }

@@ -1,134 +1,67 @@
-//! Serving-layer bench driver: latency/saturation of `ppbench-serve`.
+//! Serving-layer bench driver: starts a server (in-process by default;
+//! `--spawn` runs the sibling `ppserved` binary in its own process so
+//! driver and server each get their own fd budget, which 10k+ connection
+//! bursts need), prewarms one pipeline config, measures open-loop rows at
+//! each offered rate and burst rows at each connection count, and writes
+//! `BENCH_serve.json`.
 //!
 //! ```text
-//! cargo run --release -p ppbench-bench --bin servebench -- \
-//!     [--scale N] [--edge-factor K] [--seed N] [--workers N] \
-//!     [--rates 500,1000,2000] [--requests N] [--bursts 256,4096] \
-//!     [--spawn] [--out PATH]
+//! cargo run --release -p ppbench-bench --bin servebench -- --rates 500,1000 --bursts 256
 //! cargo run -p ppbench-bench --bin servebench -- --check BENCH_serve.json
 //! ```
-//!
-//! Starts a server (in-process by default; `--spawn` runs the sibling
-//! `ppserved` binary in its own process so driver and server each get
-//! their own fd budget — required for 10k+ connection bursts), prewarms
-//! one pipeline config to `Done`, then measures open-loop rows at each
-//! offered rate and burst rows at each connection count. `--check`
-//! validates an existing file's schema and rate consistency and exits
-//! nonzero on drift.
 
-use std::process::exit;
+use std::process::ExitCode;
 
-use ppbench_bench::k3::parse_thread_list;
-use ppbench_bench::serve::{self, parse_rate_list, SweepConfig};
+use ppbench_bench::cli::{self, Flag};
+use ppbench_bench::serve::SweepConfig;
+use ppbench_bench::{parse_positive, parse_rate_list, parse_thread_list};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: servebench [--scale N] [--edge-factor K] [--seed N] [--workers N]\n\
-         \x20                [--rates R,R,...] [--requests N] [--bursts N,N,...]\n\
-         \x20                [--spawn] [--out PATH]\n\
-         \x20       servebench --check PATH   (validate an existing BENCH_serve.json)"
-    );
-    exit(2)
-}
+const FLAGS: &[Flag<SweepConfig>] = &[
+    Flag {
+        name: "--scale",
+        value: Some("N"),
+        set: |c, v| v.parse().ok().map(|n| c.scale = n),
+    },
+    Flag {
+        name: "--edge-factor",
+        value: Some("K"),
+        set: |c, v| v.parse().ok().map(|n| c.edge_factor = n),
+    },
+    Flag {
+        name: "--seed",
+        value: Some("N"),
+        set: |c, v| v.parse().ok().map(|n| c.seed = n),
+    },
+    Flag {
+        name: "--workers",
+        value: Some("N"),
+        set: |c, v| parse_positive(v).map(|n| c.workers = n),
+    },
+    Flag {
+        name: "--rates",
+        value: Some("R,R,..."),
+        set: |c, v| parse_rate_list(v).map(|n| c.rates = n),
+    },
+    Flag {
+        name: "--requests",
+        value: Some("N"),
+        set: |c, v| parse_positive(v).map(|n| c.requests = n),
+    },
+    Flag {
+        name: "--bursts",
+        value: Some("N,N,..."),
+        set: |c, v| parse_thread_list(v).map(|n| c.bursts = n),
+    },
+    Flag {
+        name: "--spawn",
+        value: None,
+        set: |c, _| {
+            c.spawn = true;
+            Some(())
+        },
+    },
+];
 
-fn main() {
-    let mut cfg = SweepConfig::default();
-    let mut out = std::path::PathBuf::from("BENCH_serve.json");
-    let mut check: Option<std::path::PathBuf> = None;
-
-    let mut argv = std::env::args().skip(1);
-    while let Some(flag) = argv.next() {
-        if flag == "--spawn" {
-            cfg.spawn = true;
-            continue;
-        }
-        let mut value = || argv.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--scale" => cfg.scale = value().parse().unwrap_or_else(|_| usage()),
-            "--edge-factor" => cfg.edge_factor = value().parse().unwrap_or_else(|_| usage()),
-            "--seed" => cfg.seed = value().parse().unwrap_or_else(|_| usage()),
-            "--workers" => {
-                cfg.workers = value()
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage());
-            }
-            "--rates" => cfg.rates = parse_rate_list(&value()).unwrap_or_else(|| usage()),
-            "--requests" => {
-                cfg.requests = value()
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage());
-            }
-            "--bursts" => cfg.bursts = parse_thread_list(&value()).unwrap_or_else(|| usage()),
-            "--out" => out = std::path::PathBuf::from(value()),
-            "--check" => check = Some(std::path::PathBuf::from(value())),
-            _ => usage(),
-        }
-    }
-
-    // Validation mode: no measurement, just the schema gate CI relies on.
-    if let Some(path) = check {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", path.display());
-                exit(1);
-            }
-        };
-        match serve::check_schema(&text) {
-            Ok(()) => {
-                println!("{}: schema ok ({})", path.display(), serve::SCHEMA_VERSION);
-                return;
-            }
-            Err(e) => {
-                eprintln!("{}: schema drift: {e}", path.display());
-                exit(1);
-            }
-        }
-    }
-
-    let rows = match serve::run_sweep(&cfg) {
-        Ok(rows) => rows,
-        Err(e) => {
-            eprintln!("sweep failed: {e}");
-            exit(1);
-        }
-    };
-
-    println!(
-        "{:>6} {:>12} {:>9} {:>7} {:>9} {:>12} {:>10} {:>10} {:>8}",
-        "mode",
-        "offered_rps",
-        "requests",
-        "errors",
-        "secs",
-        "achieved_rps",
-        "p50 (ms)",
-        "p99 (ms)",
-        "max_conn"
-    );
-    for r in &rows {
-        println!(
-            "{:>6} {:>12.0} {:>9} {:>7} {:>9.3} {:>12.0} {:>10.3} {:>10.3} {:>8}",
-            r.mode,
-            r.offered_rps,
-            r.requests,
-            r.errors,
-            r.seconds,
-            r.achieved_rps,
-            r.p50_ms,
-            r.p99_ms,
-            r.max_concurrent
-        );
-    }
-
-    let json = serve::to_json(&cfg, &rows);
-    if let Err(e) = std::fs::write(&out, format!("{json}\n")) {
-        eprintln!("failed to write {}: {e}", out.display());
-        exit(1);
-    }
-    println!("wrote {}", out.display());
+fn main() -> ExitCode {
+    cli::main("servebench", FLAGS)
 }

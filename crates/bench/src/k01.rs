@@ -9,12 +9,9 @@
 //! sampler (`faithful` per-level recursion vs the `linear` block-table
 //! sampler) and the three kernel-1 sort paths (in-memory, plain external
 //! merge, pipelined external merge), each swept over explicit thread
-//! counts and scales. Results land in `BENCH_k01.json` as canonical JSON
-//! (sorted keys, shortest-roundtrip floats, rendered by
-//! `ppbench_core::json`), giving later PRs a baseline to beat; the
-//! `--check` mode re-validates that file's schema — including a >1%
-//! rate-vs-raw-measurement consistency gate — so CI catches drift in
-//! either direction.
+//! counts and scales. Results land in `BENCH_k01.json` through
+//! [`crate::table`], whose check also holds every row's `mb_per_s` and
+//! `gb_per_s` to its own `mbytes / seconds` within 1%.
 //!
 //! Generation is interleaved with writing on the streaming paths, so every
 //! kernel-0 measurement times generate+write as one unit — the same work
@@ -27,18 +24,15 @@
 
 use std::path::Path;
 
-use ppbench_core::json::{JsonArray, JsonObject};
+use ppbench_core::json::Json;
 use ppbench_core::{kernel0, kernel1, PipelineConfig, Stopwatch};
 use ppbench_gen::RmatSampler;
 use ppbench_io::tempdir::TempDir;
 use ppbench_io::{EdgeReader, EdgeWriter, Manifest, SortState, BYTES_PER_EDGE};
 use ppbench_sort::{Algorithm, ExternalSorter, SortKey};
 
-/// Version tag written into the JSON so schema changes are explicit.
-/// v3 added the `gen` axis (R-MAT sampler per kernel-0 row), the
-/// `gb_per_s` rate column, and the `faithful_max_scale`/`k1_max_scale`
-/// sweep caps.
-pub const SCHEMA_VERSION: &str = "ppbench-k01-v3";
+use crate::size_pool;
+use crate::table::{point_configs, Cells, Rate, Sweep};
 
 /// The kernel-0 write strategies under measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,7 +141,7 @@ impl Default for SweepConfig {
     fn default() -> Self {
         Self {
             scales: vec![12],
-            threads: vec![1, 2, 4],
+            threads: crate::host_threads(),
             edge_factor: 16,
             seed: 1,
             num_files: 4,
@@ -185,15 +179,6 @@ pub struct SweepRow {
     /// `mb_per_s / 1000` — the same rate in decimal GB/s, for reading
     /// the large-scale rows against device bandwidth.
     pub gb_per_s: f64,
-}
-
-/// Sizes the global thread pool, surfacing the error as a string (the
-/// shim never fails; real rayon could).
-fn size_pool(threads: usize) -> Result<(), String> {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build_global()
-        .map_err(|e| format!("failed to size thread pool to {threads}: {e}"))
 }
 
 /// Sums the on-disk bytes of a manifest's files.
@@ -318,7 +303,8 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<Vec<SweepRow>, String> {
         return Err("no samplers to sweep (gens is empty)".to_string());
     }
     let mut rows = Vec::new();
-    for &scale in &cfg.scales {
+    for point in cfg.points()? {
+        let scale = point.spec.scale();
         let gens: Vec<RmatSampler> = cfg
             .gens
             .iter()
@@ -335,13 +321,10 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<Vec<SweepRow>, String> {
 
         // --- Kernel 0: generate + write, once per sampler ---
         for &gen in &gens {
-            let pcfg = PipelineConfig::builder()
-                .scale(scale)
-                .edge_factor(cfg.edge_factor)
-                .seed(cfg.seed)
-                .num_files(cfg.num_files)
-                .gen(gen)
-                .build();
+            let pcfg = PipelineConfig {
+                gen,
+                ..point.clone()
+            };
             // The first variant measured under each sampler doubles as
             // that sampler's byte-level reference (the two samplers emit
             // different — equally distributed — streams, so references
@@ -521,69 +504,64 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<Vec<SweepRow>, String> {
     Ok(rows)
 }
 
-/// Renders the sweep as the canonical `BENCH_k01.json` document.
-pub fn to_json(cfg: &SweepConfig, rows: &[SweepRow]) -> String {
-    let mut results = JsonArray::new();
-    for row in rows {
-        let mut entry = JsonObject::new();
-        entry
-            .set_str("kernel", row.kernel)
-            .set_str("variant", row.variant)
-            .set_str("gen", row.gen)
-            .set_u64("scale", u64::from(row.scale))
-            .set_u64("threads", row.threads as u64)
-            .set_u64("edges", row.edges)
-            .set_f64("mbytes", row.mbytes)
-            .set_f64("seconds", row.seconds)
-            .set_f64("mb_per_s", row.mb_per_s)
-            .set_f64("gb_per_s", row.gb_per_s);
-        results.push_obj(&entry);
-    }
-    let gens = cfg
-        .gens
-        .iter()
-        .map(|g| g.name())
-        .collect::<Vec<_>>()
-        .join(",");
-    let mut obj = JsonObject::new();
-    obj.set_str("benchmark", SCHEMA_VERSION)
-        .set_u64("budget_divisor", cfg.budget_divisor)
-        .set_u64("edge_factor", cfg.edge_factor)
-        .set_raw("faithful_max_scale", cap_json(cfg.faithful_max_scale))
-        .set_str("gens", &gens)
-        .set_raw("k1_max_scale", cap_json(cfg.k1_max_scale))
-        .set_u64("num_files", cfg.num_files as u64)
-        .set_raw("results", results.render())
-        .set_u64("seed", cfg.seed)
-        .set_u64("trials", cfg.trials as u64);
-    obj.render()
-}
+impl Sweep for SweepConfig {
+    type Row = SweepRow;
+    /// v3 added the `gen` axis (R-MAT sampler per kernel-0 row), the
+    /// `gb_per_s` rate column, and the `faithful_max_scale`/`k1_max_scale`
+    /// sweep caps.
+    const VERSION: &'static str = "ppbench-k01-v3";
+    const FILE: &'static str = "BENCH_k01.json";
+    const RATES: &'static [Rate] = &[
+        Rate::new("mb_per_s", &["mbytes"], 1.0),
+        Rate::new("gb_per_s", &["mbytes"], 1e-3),
+    ];
 
-/// JSON value for an optional scale cap: the number, or `"none"` for an
-/// uncapped sweep.
-fn cap_json(cap: Option<u32>) -> String {
-    match cap {
-        Some(v) => v.to_string(),
-        None => "\"none\"".to_string(),
+    fn header(&self) -> Cells {
+        // An uncapped sweep records its cap as the string "none".
+        let cap = |cap: Option<u32>| match cap {
+            Some(scale) => Json::Uint(u64::from(scale)),
+            None => Json::String("none".to_string()),
+        };
+        let gens: Vec<&str> = self.gens.iter().map(|g| g.name()).collect();
+        vec![
+            ("budget_divisor", Json::Uint(self.budget_divisor)),
+            ("edge_factor", Json::Uint(self.edge_factor)),
+            ("faithful_max_scale", cap(self.faithful_max_scale)),
+            ("gens", Json::String(gens.join(","))),
+            ("k1_max_scale", cap(self.k1_max_scale)),
+            ("num_files", Json::Uint(self.num_files as u64)),
+            ("seed", Json::Uint(self.seed)),
+            ("trials", Json::Uint(self.trials as u64)),
+        ]
     }
-}
 
-/// Validates a `BENCH_k01.json` document: it must parse, carry this sweep's
-/// version tag and at least one row, and have exactly the top-level and
-/// row keys [`to_json`] emits for a default config and row.
-/// Every row's `mb_per_s` and `gb_per_s` must also agree with its own
-/// `mbytes / seconds` within 1% — a stale or hand-edited rate is
-/// rejected even though the shape is intact.
-pub fn check_schema(text: &str) -> Result<(), String> {
-    let reference = to_json(&SweepConfig::default(), &[SweepRow::default()]);
-    let doc = crate::schema::check_flat_schema(text, &reference)?;
-    crate::schema::check_rate_consistency(
-        &doc,
-        "mbytes",
-        "seconds",
-        &[("mb_per_s", 1.0), ("gb_per_s", 1e-3)],
-        0.01,
-    )
+    fn cells(row: &SweepRow) -> Cells {
+        vec![
+            ("scale", Json::Uint(u64::from(row.scale))),
+            ("kernel", Json::String(row.kernel.to_string())),
+            ("gen", Json::String(row.gen.to_string())),
+            ("variant", Json::String(row.variant.to_string())),
+            ("threads", Json::Uint(row.threads as u64)),
+            ("edges", Json::Uint(row.edges)),
+            ("mbytes", Json::Number(row.mbytes)),
+            ("seconds", Json::Number(row.seconds)),
+            ("mb_per_s", Json::Number(row.mb_per_s)),
+            ("gb_per_s", Json::Number(row.gb_per_s)),
+        ]
+    }
+
+    fn points(&self) -> Result<Vec<PipelineConfig>, String> {
+        let fields = [
+            ("edge_factor", Json::Uint(self.edge_factor)),
+            ("seed", Json::Uint(self.seed)),
+            ("num_files", Json::Uint(self.num_files as u64)),
+        ];
+        point_configs(&self.scales, &fields)
+    }
+
+    fn run(&self) -> Result<Vec<SweepRow>, String> {
+        run_sweep(self)
+    }
 }
 
 #[cfg(test)]
@@ -624,6 +602,8 @@ mod tests {
     fn sweep_covers_every_variant_and_streams_agree() {
         let cfg = tiny_cfg();
         let rows = run_sweep(&cfg).unwrap();
+        // Measured rows satisfy their own shape and rate checks.
+        crate::table::check::<SweepConfig>(&crate::table::render(&cfg, &rows)).unwrap();
         assert_eq!(rows.len(), TINY_ROWS);
         for v in K0Variant::ALL {
             for g in RmatSampler::ALL {
@@ -680,44 +660,5 @@ mod tests {
             .iter()
             .any(|r| r.scale == 6 && r.gen == "linear" && r.kernel == "k0"));
         assert_eq!(rows.len(), TINY_ROWS + 5);
-    }
-
-    #[test]
-    fn json_roundtrip_passes_schema_check() {
-        let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
-        let json = to_json(&cfg, &rows);
-        check_schema(&json).unwrap();
-    }
-
-    #[test]
-    fn schema_check_rejects_drift_in_both_directions() {
-        let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
-        let json = to_json(&cfg, &rows);
-        // Missing row key.
-        let missing = json.replacen("\"mb_per_s\":", "\"mbps\":", 1);
-        assert!(check_schema(&missing).is_err());
-        // Extra top-level key.
-        let extra = json.replacen("{\"benchmark\"", "{\"bonus\":1,\"benchmark\"", 1);
-        assert!(check_schema(&extra).is_err());
-        // Wrong version tag.
-        let wrong = json.replace(SCHEMA_VERSION, "ppbench-k01-v9");
-        assert!(check_schema(&wrong).is_err());
-        // Empty results.
-        assert!(check_schema(&to_json(&cfg, &[])).is_err());
-    }
-
-    #[test]
-    fn schema_check_rejects_a_doctored_rate() {
-        let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
-        let mut fast = rows;
-        // Inflate one row's headline rate by 10× without touching the raw
-        // measurements it is derived from.
-        fast[0].mb_per_s *= 10.0;
-        let json = to_json(&cfg, &fast);
-        let err = check_schema(&json).unwrap_err();
-        assert!(err.contains("mb_per_s"), "{err}");
     }
 }

@@ -7,25 +7,21 @@
 //! runs — the parallel one swept over explicit thread counts, keeping the
 //! fastest of `trials` repetitions per point so one scheduler hiccup
 //! cannot masquerade as a scaling regression.
-//! Results land in `BENCH_k3.json` as
-//! canonical JSON (sorted keys, shortest-roundtrip floats, rendered by
-//! `ppbench_core::json`), giving later PRs a baseline to beat; the
-//! `--check` mode re-validates that file's schema so CI catches drift in
-//! either direction.
+//! Results land in `BENCH_k3.json` through [`crate::table`], whose check
+//! also holds every row's `gflops` to `2·nnz·iterations/seconds`.
 //!
-//! Thread counts are always explicit — this crate holds to the
-//! env-dependence rule, so nothing here consults the machine; pass the
-//! counts you want to measure.
+//! The default thread counts are powers of two up to the host's core
+//! count; pass explicit counts to measure others.
 
-use ppbench_core::json::{JsonArray, JsonObject};
+use ppbench_core::json::Json;
 use ppbench_core::kernel3::{self, DanglingInfo, DanglingStrategy, PageRankOptions, PageRankRun};
-use ppbench_core::Stopwatch;
-use ppbench_gen::{EdgeGenerator, GraphSpec, Kronecker};
+use ppbench_core::{PipelineConfig, Stopwatch};
+use ppbench_gen::{EdgeGenerator, Kronecker};
 use ppbench_sort::SortKey;
 use ppbench_sparse::{ops, spmv, vector, Csr, Csr32};
 
-/// Version tag written into the JSON so schema changes are explicit.
-pub const SCHEMA_VERSION: &str = "ppbench-k3-v2";
+use crate::size_pool;
+use crate::table::{point_configs, Cells, Rate, Sweep};
 
 /// The kernel-3 implementations under measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,7 +83,7 @@ impl Default for SweepConfig {
     fn default() -> Self {
         Self {
             scales: vec![12],
-            threads: vec![1, 2, 4, 8],
+            threads: crate::host_threads(),
             edge_factor: 16,
             seed: 1,
             iterations: ppbench_core::ITERATIONS,
@@ -118,25 +114,15 @@ pub struct SweepRow {
     pub l1_vs_serial: f64,
 }
 
-/// Builds the normalized scale-`s` matrix the same way the pipeline does:
-/// Kronecker edges, radix sort by start vertex, sorted-input CSR
-/// construction, row normalization.
-pub fn build_matrix(scale: u32, edge_factor: u64, seed: u64) -> Csr<f64> {
-    let spec = GraphSpec::new(scale, edge_factor);
-    let mut edges = Kronecker::new(spec, seed).edges();
+/// Builds the normalized matrix of `cfg`'s graph the same way the
+/// pipeline does: Kronecker edges, radix sort by start vertex,
+/// sorted-input CSR construction, row normalization.
+pub fn build_matrix(cfg: &PipelineConfig) -> Csr<f64> {
+    let mut edges = Kronecker::new(cfg.spec, cfg.seed).edges();
     ppbench_sort::radix_sort(&mut edges, SortKey::Start);
     let counts =
-        Csr::<u64>::from_sorted_edges(spec.num_vertices(), edges.iter().map(|e| (e.u, e.v)));
+        Csr::<u64>::from_sorted_edges(cfg.spec.num_vertices(), edges.iter().map(|e| (e.u, e.v)));
     ops::normalize_rows(&counts)
-}
-
-/// Sizes the global thread pool, surfacing the error as a string (the
-/// shim never fails; real rayon could).
-pub(crate) fn size_pool(threads: usize) -> Result<(), String> {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build_global()
-        .map_err(|e| format!("failed to size thread pool to {threads}: {e}"))
 }
 
 /// Everything shared by every variant measured at one scale.
@@ -195,8 +181,9 @@ fn run_variant(
 /// then thread order as given.
 pub fn run_sweep(cfg: &SweepConfig) -> Result<Vec<SweepRow>, String> {
     let mut rows = Vec::new();
-    for &scale in &cfg.scales {
-        let a = build_matrix(scale, cfg.edge_factor, cfg.seed);
+    for point in cfg.points()? {
+        let scale = point.spec.scale();
+        let a = build_matrix(&point);
         let at = a.transpose();
         let narrow = Csr32::try_from_wide(&at);
         let dangling = DanglingInfo::from_mask(&ops::empty_rows(&a));
@@ -205,15 +192,15 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<Vec<SweepRow>, String> {
             narrow,
             dangling,
             opts: PageRankOptions {
-                damping: cfg.damping,
-                max_iterations: cfg.iterations,
+                damping: point.damping,
+                max_iterations: point.iterations,
                 dangling: DanglingStrategy::Omit,
                 tolerance: None,
             },
-            seed: cfg.seed,
+            seed: point.seed,
             a,
         };
-        let flops = 2.0 * fx.a.nnz() as f64 * f64::from(cfg.iterations);
+        let flops = 2.0 * fx.a.nnz() as f64 * f64::from(point.iterations);
         // Serial scatter is both a measurement and the accuracy reference.
         size_pool(1)?;
         let Some((reference, _)) = run_variant(&fx, K3Variant::Scatter, 1) else {
@@ -259,56 +246,47 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<Vec<SweepRow>, String> {
     Ok(rows)
 }
 
-/// Renders the sweep as the canonical `BENCH_k3.json` document.
-pub fn to_json(cfg: &SweepConfig, rows: &[SweepRow]) -> String {
-    let mut results = JsonArray::new();
-    for row in rows {
-        let mut entry = JsonObject::new();
-        entry
-            .set_str("variant", row.variant)
-            .set_u64("scale", u64::from(row.scale))
-            .set_u64("threads", row.threads as u64)
-            .set_u64("vertices", row.vertices)
-            .set_u64("nnz", row.nnz)
-            .set_f64("seconds", row.seconds)
-            .set_f64("gflops", row.gflops)
-            .set_f64("l1_vs_serial", row.l1_vs_serial);
-        results.push_obj(&entry);
-    }
-    let mut obj = JsonObject::new();
-    obj.set_str("benchmark", SCHEMA_VERSION)
-        .set_f64("damping", cfg.damping)
-        .set_u64("edge_factor", cfg.edge_factor)
-        .set_u64("iterations", u64::from(cfg.iterations))
-        .set_raw("results", results.render())
-        .set_u64("seed", cfg.seed)
-        .set_u64("trials", cfg.trials as u64);
-    obj.render()
-}
+impl Sweep for SweepConfig {
+    type Row = SweepRow;
+    const VERSION: &'static str = "ppbench-k3-v2";
+    const FILE: &'static str = "BENCH_k3.json";
+    const RATES: &'static [Rate] = &[Rate::new("gflops", &["nnz", "iterations"], 2e-9)];
 
-/// Validates a `BENCH_k3.json` document: it must parse, carry this sweep's
-/// version tag and at least one row, and have exactly the top-level and
-/// row keys [`to_json`] emits for a default config and row.
-pub fn check_schema(text: &str) -> Result<(), String> {
-    let reference = to_json(&SweepConfig::default(), &[SweepRow::default()]);
-    crate::schema::check_flat_schema(text, &reference).map(drop)
-}
-
-/// Parses a comma-separated thread list (`"1,2,4,8"`), requiring every
-/// entry to be a positive integer.
-pub fn parse_thread_list(s: &str) -> Option<Vec<usize>> {
-    let mut out = Vec::new();
-    for part in s.split(',') {
-        let n: usize = part.trim().parse().ok()?;
-        if n == 0 {
-            return None;
-        }
-        out.push(n);
+    fn header(&self) -> Cells {
+        vec![
+            ("damping", Json::Number(self.damping)),
+            ("edge_factor", Json::Uint(self.edge_factor)),
+            ("iterations", Json::Uint(u64::from(self.iterations))),
+            ("seed", Json::Uint(self.seed)),
+            ("trials", Json::Uint(self.trials as u64)),
+        ]
     }
-    if out.is_empty() {
-        None
-    } else {
-        Some(out)
+
+    fn cells(row: &SweepRow) -> Cells {
+        vec![
+            ("scale", Json::Uint(u64::from(row.scale))),
+            ("variant", Json::String(row.variant.to_string())),
+            ("threads", Json::Uint(row.threads as u64)),
+            ("vertices", Json::Uint(row.vertices)),
+            ("nnz", Json::Uint(row.nnz)),
+            ("seconds", Json::Number(row.seconds)),
+            ("gflops", Json::Number(row.gflops)),
+            ("l1_vs_serial", Json::Number(row.l1_vs_serial)),
+        ]
+    }
+
+    fn points(&self) -> Result<Vec<PipelineConfig>, String> {
+        let fields = [
+            ("edge_factor", Json::Uint(self.edge_factor)),
+            ("seed", Json::Uint(self.seed)),
+            ("damping", Json::Number(self.damping)),
+            ("iterations", Json::Uint(u64::from(self.iterations))),
+        ];
+        point_configs(&self.scales, &fields)
+    }
+
+    fn run(&self) -> Result<Vec<SweepRow>, String> {
+        run_sweep(self)
     }
 }
 
@@ -331,6 +309,8 @@ mod tests {
     fn sweep_covers_every_variant_and_agrees_with_serial() {
         let cfg = tiny_cfg();
         let rows = run_sweep(&cfg).unwrap();
+        // Measured rows satisfy their own shape and rate checks.
+        crate::table::check::<SweepConfig>(&crate::table::render(&cfg, &rows)).unwrap();
         // 2 serial rows + the parallel variant × 2 thread counts.
         assert_eq!(rows.len(), 2 + 2);
         for v in K3Variant::ALL {
@@ -352,14 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_passes_schema_check() {
-        let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
-        let json = to_json(&cfg, &rows);
-        check_schema(&json).unwrap();
-    }
-
-    #[test]
     fn best_of_n_trials_still_yields_one_row_per_point() {
         let cfg = SweepConfig {
             trials: 3,
@@ -370,32 +342,5 @@ mod tests {
         for row in &rows {
             assert!(row.l1_vs_serial < 1e-12, "{row:?}");
         }
-    }
-
-    #[test]
-    fn schema_check_rejects_drift_in_both_directions() {
-        let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
-        let json = to_json(&cfg, &rows);
-        // Missing row key.
-        let missing = json.replacen("\"gflops\":", "\"gfl0ps\":", 1);
-        assert!(check_schema(&missing).is_err());
-        // Extra top-level key.
-        let extra = json.replacen("{\"benchmark\"", "{\"bonus\":1,\"benchmark\"", 1);
-        assert!(check_schema(&extra).is_err());
-        // Wrong version tag.
-        let wrong = json.replace(SCHEMA_VERSION, "ppbench-k3-v9");
-        assert!(check_schema(&wrong).is_err());
-        // Empty results.
-        assert!(check_schema(&to_json(&cfg, &[])).is_err());
-    }
-
-    #[test]
-    fn thread_list_parses() {
-        assert_eq!(parse_thread_list("1,2,4,8"), Some(vec![1, 2, 4, 8]));
-        assert_eq!(parse_thread_list("4"), Some(vec![4]));
-        assert_eq!(parse_thread_list("0"), None);
-        assert_eq!(parse_thread_list(""), None);
-        assert_eq!(parse_thread_list("two"), None);
     }
 }

@@ -16,15 +16,14 @@
 //! staged `(start, end)`-sorted stream digest — chain component
 //! included. A mismatch anywhere aborts the sweep.
 //!
-//! Results land in `BENCH_pipeline.json` as canonical JSON (sorted keys,
-//! shortest-roundtrip floats, rendered by `ppbench_core::json`); the
-//! `--check` mode re-validates that file's schema so CI catches drift in
-//! either direction.
+//! Results land in `BENCH_pipeline.json` through [`crate::table`], whose
+//! check also holds every row's `edges_per_s` to its own
+//! `edges / seconds`.
 
 use std::path::Path;
 
 use ppbench_core::backend::{Backend, OptimizedBackend};
-use ppbench_core::json::{JsonArray, JsonObject};
+use ppbench_core::json::Json;
 use ppbench_core::kernel2::FilterStats;
 use ppbench_core::{PipelineConfig, Stopwatch};
 use ppbench_io::checksum::EdgeDigest;
@@ -32,8 +31,8 @@ use ppbench_io::tempdir::TempDir;
 use ppbench_sort::SortKey;
 use ppbench_sparse::Csr;
 
-/// Version tag written into the JSON so schema changes are explicit.
-pub const SCHEMA_VERSION: &str = "ppbench-pipeline-v1";
+use crate::size_pool;
+use crate::table::{point_configs, Cells, Rate, Sweep};
 
 /// The two K1→K2 data paths under measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,7 +86,7 @@ impl Default for SweepConfig {
     fn default() -> Self {
         Self {
             scales: vec![12],
-            threads: vec![1, 2, 4],
+            threads: crate::host_threads(),
             edge_factor: 16,
             seed: 1,
             num_files: 4,
@@ -188,16 +187,8 @@ fn run_fused(cfg: &PipelineConfig, k0_dir: &Path, work: &Path) -> Result<Measure
 pub fn run_sweep(cfg: &SweepConfig) -> Result<Vec<SweepRow>, String> {
     let td = TempDir::new("pipebench").map_err(|e| format!("cannot create scratch dir: {e}"))?;
     let mut rows = Vec::new();
-    for &scale in &cfg.scales {
-        // `StartEnd` so the staged sorted stream is byte-comparable to
-        // the fused path's concatenated per-bucket digests.
-        let pcfg = PipelineConfig::builder()
-            .scale(scale)
-            .edge_factor(cfg.edge_factor)
-            .seed(cfg.seed)
-            .num_files(cfg.num_files)
-            .sort_key(SortKey::StartEnd)
-            .build();
+    for pcfg in cfg.points()? {
+        let scale = pcfg.spec.scale();
         let k0_dir = td.join(&format!("s{scale}-k0"));
         let k0_manifest = OptimizedBackend
             .kernel0(&pcfg, &k0_dir)
@@ -211,7 +202,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<Vec<SweepRow>, String> {
                 &[1]
             };
             for &threads in thread_counts {
-                crate::k3::size_pool(threads)?;
+                size_pool(threads)?;
                 let mut best: Option<(f64, f64)> = None;
                 for trial in 0..cfg.trials.max(1) {
                     let work = td.join(&format!("s{scale}-{}-t{threads}-r{trial}", mode.name()));
@@ -274,43 +265,55 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<Vec<SweepRow>, String> {
         std::fs::remove_dir_all(&k0_dir)
             .map_err(|e| format!("cannot clean {}: {e}", k0_dir.display()))?;
         // Leave the pool unpinned for whatever runs next in this process.
-        crate::k3::size_pool(0)?;
+        size_pool(0)?;
     }
     Ok(rows)
 }
 
-/// Renders the sweep as the canonical `BENCH_pipeline.json` document.
-pub fn to_json(cfg: &SweepConfig, rows: &[SweepRow]) -> String {
-    let mut results = JsonArray::new();
-    for row in rows {
-        let mut entry = JsonObject::new();
-        entry
-            .set_str("mode", row.mode)
-            .set_u64("scale", u64::from(row.scale))
-            .set_u64("threads", row.threads as u64)
-            .set_u64("edges", row.edges)
-            .set_f64("k1_seconds", row.k1_seconds)
-            .set_f64("k2_seconds", row.k2_seconds)
-            .set_f64("seconds", row.seconds)
-            .set_f64("edges_per_s", row.edges_per_s);
-        results.push_obj(&entry);
-    }
-    let mut obj = JsonObject::new();
-    obj.set_str("benchmark", SCHEMA_VERSION)
-        .set_u64("edge_factor", cfg.edge_factor)
-        .set_u64("num_files", cfg.num_files as u64)
-        .set_raw("results", results.render())
-        .set_u64("seed", cfg.seed)
-        .set_u64("trials", cfg.trials as u64);
-    obj.render()
-}
+impl Sweep for SweepConfig {
+    type Row = SweepRow;
+    const VERSION: &'static str = "ppbench-pipeline-v1";
+    const FILE: &'static str = "BENCH_pipeline.json";
+    const RATES: &'static [Rate] = &[Rate::new("edges_per_s", &["edges"], 1.0)];
 
-/// Validates a `BENCH_pipeline.json` document: it must parse, carry this sweep's
-/// version tag and at least one row, and have exactly the top-level and
-/// row keys [`to_json`] emits for a default config and row.
-pub fn check_schema(text: &str) -> Result<(), String> {
-    let reference = to_json(&SweepConfig::default(), &[SweepRow::default()]);
-    crate::schema::check_flat_schema(text, &reference).map(drop)
+    fn header(&self) -> Cells {
+        vec![
+            ("edge_factor", Json::Uint(self.edge_factor)),
+            ("num_files", Json::Uint(self.num_files as u64)),
+            ("seed", Json::Uint(self.seed)),
+            ("trials", Json::Uint(self.trials as u64)),
+        ]
+    }
+
+    fn cells(row: &SweepRow) -> Cells {
+        vec![
+            ("scale", Json::Uint(u64::from(row.scale))),
+            ("mode", Json::String(row.mode.to_string())),
+            ("threads", Json::Uint(row.threads as u64)),
+            ("edges", Json::Uint(row.edges)),
+            ("k1_seconds", Json::Number(row.k1_seconds)),
+            ("k2_seconds", Json::Number(row.k2_seconds)),
+            ("seconds", Json::Number(row.seconds)),
+            ("edges_per_s", Json::Number(row.edges_per_s)),
+        ]
+    }
+
+    /// `StartEnd` sorting, so the staged sorted stream is byte-comparable
+    /// to the fused path's concatenated per-bucket digests.
+    fn points(&self) -> Result<Vec<PipelineConfig>, String> {
+        let sort_key = SortKey::StartEnd.name().to_string();
+        let fields = [
+            ("edge_factor", Json::Uint(self.edge_factor)),
+            ("seed", Json::Uint(self.seed)),
+            ("num_files", Json::Uint(self.num_files as u64)),
+            ("sort_key", Json::String(sort_key)),
+        ];
+        point_configs(&self.scales, &fields)
+    }
+
+    fn run(&self) -> Result<Vec<SweepRow>, String> {
+        run_sweep(self)
+    }
 }
 
 #[cfg(test)]
@@ -332,6 +335,8 @@ mod tests {
     fn sweep_covers_both_modes_and_stays_bit_identical() {
         let cfg = tiny_cfg();
         let rows = run_sweep(&cfg).unwrap();
+        // Measured rows satisfy their own shape and rate checks.
+        crate::table::check::<SweepConfig>(&crate::table::render(&cfg, &rows)).unwrap();
         // Staged once + fused × 2 thread counts.
         assert_eq!(rows.len(), 1 + 2);
         for mode in PipeMode::ALL {
@@ -356,31 +361,5 @@ mod tests {
         };
         let rows = run_sweep(&cfg).unwrap();
         assert_eq!(rows.len(), 1 + 2);
-    }
-
-    #[test]
-    fn json_roundtrip_passes_schema_check() {
-        let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
-        let json = to_json(&cfg, &rows);
-        check_schema(&json).unwrap();
-    }
-
-    #[test]
-    fn schema_check_rejects_drift_in_both_directions() {
-        let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
-        let json = to_json(&cfg, &rows);
-        // Missing row key.
-        let missing = json.replacen("\"edges_per_s\":", "\"eps\":", 1);
-        assert!(check_schema(&missing).is_err());
-        // Extra top-level key.
-        let extra = json.replacen("{\"benchmark\"", "{\"bonus\":1,\"benchmark\"", 1);
-        assert!(check_schema(&extra).is_err());
-        // Wrong version tag.
-        let wrong = json.replace(SCHEMA_VERSION, "ppbench-pipeline-v9");
-        assert!(check_schema(&wrong).is_err());
-        // Empty results.
-        assert!(check_schema(&to_json(&cfg, &[])).is_err());
     }
 }

@@ -22,22 +22,21 @@
 //! driver and server each get their own file-descriptor budget — which
 //! is what the 10k-connection burst row needs on a 20k-fd rlimit.
 //!
-//! Results land in `BENCH_serve.json` as canonical JSON; `--check`
-//! re-validates the committed file's schema and cross-checks every row's
-//! `achieved_rps` against its own `requests`/`seconds` so stale or
-//! hand-edited rates cannot survive CI.
+//! Results land in `BENCH_serve.json` through [`crate::table`], whose
+//! check also holds every row's `achieved_rps` to its own
+//! `requests / seconds`, so stale or hand-edited rates cannot survive CI.
 
 use std::io::BufRead;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ppbench_core::json::{Json, JsonArray, JsonObject};
+use ppbench_core::json::Json;
+use ppbench_core::PipelineConfig;
 use ppbench_serve::loadgen::{run_load, LoadConfig, LoadReport};
 use ppbench_serve::{http_request, HttpServer, Service, ServiceConfig};
 
-/// Version tag written into the JSON so schema changes are explicit.
-pub const SCHEMA_VERSION: &str = "ppbench-serve-v1";
+use crate::table::{point_configs, Cells, Rate, Sweep};
 
 /// What to sweep.
 #[derive(Debug, Clone)]
@@ -298,6 +297,7 @@ fn to_row(mode: &'static str, offered_rps: f64, report: &LoadReport) -> Result<S
 /// stop the server gracefully. Row order is deterministic: open rows in
 /// rate order, then burst rows in size order.
 pub fn run_sweep(cfg: &SweepConfig) -> Result<Vec<SweepRow>, String> {
+    cfg.points()?;
     let server = if cfg.spawn {
         start_spawned(cfg)?
     } else {
@@ -340,64 +340,46 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<Vec<SweepRow>, String> {
     Ok(rows)
 }
 
-/// Renders the sweep as the canonical `BENCH_serve.json` document.
-pub fn to_json(cfg: &SweepConfig, rows: &[SweepRow]) -> String {
-    let mut results = JsonArray::new();
-    for row in rows {
-        let mut entry = JsonObject::new();
-        entry
-            .set_str("mode", row.mode)
-            .set_f64("offered_rps", row.offered_rps)
-            .set_u64("requests", row.requests)
-            .set_u64("errors", row.errors)
-            .set_f64("seconds", row.seconds)
-            .set_f64("achieved_rps", row.achieved_rps)
-            .set_f64("p50_ms", row.p50_ms)
-            .set_f64("p99_ms", row.p99_ms)
-            .set_u64("max_concurrent", row.max_concurrent);
-        results.push_obj(&entry);
-    }
-    let mut obj = JsonObject::new();
-    obj.set_str("benchmark", SCHEMA_VERSION)
-        .set_u64("edge_factor", cfg.edge_factor)
-        .set_raw("results", results.render())
-        .set_u64("scale", u64::from(cfg.scale))
-        .set_u64("seed", cfg.seed)
-        .set_u64("workers", cfg.workers as u64);
-    obj.render()
-}
+impl Sweep for SweepConfig {
+    type Row = SweepRow;
+    const VERSION: &'static str = "ppbench-serve-v1";
+    const FILE: &'static str = "BENCH_serve.json";
+    const RATES: &'static [Rate] = &[Rate::new("achieved_rps", &["requests"], 1.0)];
 
-/// Validates a `BENCH_serve.json` document: it must parse, carry this sweep's
-/// version tag and at least one row, and have exactly the top-level and
-/// row keys [`to_json`] emits for a default config and row.
-/// Every row's `achieved_rps` must also agree with its own
-/// `requests / seconds` (stale or hand-edited rates are rejected).
-pub fn check_schema(text: &str) -> Result<(), String> {
-    let reference = to_json(&SweepConfig::default(), &[SweepRow::default()]);
-    let doc = crate::schema::check_flat_schema(text, &reference)?;
-    crate::schema::check_rate_consistency(
-        &doc,
-        "requests",
-        "seconds",
-        &[("achieved_rps", 1.0)],
-        0.01,
-    )
-}
-
-/// Parses a comma-separated list of positive rates, e.g. `500,1000,2000`.
-pub fn parse_rate_list(s: &str) -> Option<Vec<f64>> {
-    let mut out = Vec::new();
-    for part in s.split(',') {
-        let r: f64 = part.trim().parse().ok()?;
-        if !r.is_finite() || r <= 0.0 {
-            return None;
-        }
-        out.push(r);
+    fn header(&self) -> Cells {
+        vec![
+            ("edge_factor", Json::Uint(self.edge_factor)),
+            ("scale", Json::Uint(u64::from(self.scale))),
+            ("seed", Json::Uint(self.seed)),
+            ("workers", Json::Uint(self.workers as u64)),
+        ]
     }
-    if out.is_empty() {
-        None
-    } else {
-        Some(out)
+
+    fn cells(row: &SweepRow) -> Cells {
+        vec![
+            ("mode", Json::String(row.mode.to_string())),
+            ("offered_rps", Json::Number(row.offered_rps)),
+            ("requests", Json::Uint(row.requests)),
+            ("errors", Json::Uint(row.errors)),
+            ("seconds", Json::Number(row.seconds)),
+            ("achieved_rps", Json::Number(row.achieved_rps)),
+            ("p50_ms", Json::Number(row.p50_ms)),
+            ("p99_ms", Json::Number(row.p99_ms)),
+            ("max_concurrent", Json::Uint(row.max_concurrent)),
+        ]
+    }
+
+    /// The one prewarmed config every request submits.
+    fn points(&self) -> Result<Vec<PipelineConfig>, String> {
+        let fields = [
+            ("edge_factor", Json::Uint(self.edge_factor)),
+            ("seed", Json::Uint(self.seed)),
+        ];
+        point_configs(&[self.scale], &fields)
+    }
+
+    fn run(&self) -> Result<Vec<SweepRow>, String> {
+        run_sweep(self)
     }
 }
 
@@ -437,52 +419,6 @@ mod tests {
             "burst must hold every connection open at once: {:?}",
             rows[1]
         );
-        let json = to_json(&cfg, &rows);
-        check_schema(&json).unwrap();
-    }
-
-    #[test]
-    fn schema_check_rejects_drift_and_inconsistent_rates() {
-        let cfg = tiny_cfg();
-        let row = SweepRow {
-            mode: "open",
-            offered_rps: 400.0,
-            requests: 100,
-            errors: 0,
-            seconds: 0.25,
-            achieved_rps: 400.0,
-            p50_ms: 1.0,
-            p99_ms: 2.0,
-            max_concurrent: 10,
-        };
-        let json = to_json(&cfg, std::slice::from_ref(&row));
-        check_schema(&json).unwrap();
-        // Missing row key.
-        let missing = json.replacen("\"p99_ms\":", "\"p99\":", 1);
-        assert!(check_schema(&missing).is_err());
-        // Extra top-level key.
-        let extra = json.replacen("{\"benchmark\"", "{\"bonus\":1,\"benchmark\"", 1);
-        assert!(check_schema(&extra).is_err());
-        // Wrong version tag.
-        let wrong = json.replace(SCHEMA_VERSION, "ppbench-serve-v9");
-        assert!(check_schema(&wrong).is_err());
-        // A rate that disagrees with requests/seconds.
-        let drifted = json.replace("\"achieved_rps\":400", "\"achieved_rps\":500");
-        assert!(check_schema(&drifted).is_err());
-        // Empty results.
-        assert!(check_schema(&to_json(&cfg, &[])).is_err());
-    }
-
-    #[test]
-    fn rate_list_parses_strictly() {
-        assert_eq!(parse_rate_list("500"), Some(vec![500.0]));
-        assert_eq!(
-            parse_rate_list("500,1000,2500.5"),
-            Some(vec![500.0, 1000.0, 2500.5])
-        );
-        assert_eq!(parse_rate_list("0"), None);
-        assert_eq!(parse_rate_list("-5"), None);
-        assert_eq!(parse_rate_list("junk"), None);
-        assert_eq!(parse_rate_list(""), None);
+        crate::table::check::<SweepConfig>(&crate::table::render(&cfg, &rows)).unwrap();
     }
 }
