@@ -18,7 +18,7 @@ use ppbench_core::workload::{self, Workload};
 use ppbench_core::{PipelineConfig, Stopwatch, Variant};
 
 use crate::size_pool;
-use crate::table::{point_configs, Cells, Rate, Sweep};
+use crate::table::{Cells, Rate, Sweep};
 
 /// The analytics workloads under measurement (every workload except
 /// PageRank, which `k3bench` covers on its own axis).
@@ -76,73 +76,15 @@ pub struct SweepRow {
     pub matches_serial: bool,
 }
 
-/// Runs the full sweep. Per scale, the kernel-2 matrix is built once;
-/// per workload, the serial oracle runs first (at one thread) as both a
-/// measurement and the equality reference, then the optimized kernel
-/// runs once per requested thread count. Row order is deterministic:
-/// scale-major, then [`ALGO_WORKLOADS`] order, serial before optimized,
-/// then thread order as given.
-pub fn run_sweep(cfg: &SweepConfig) -> Result<Vec<SweepRow>, String> {
-    let mut rows = Vec::new();
-    for point in cfg.points()? {
-        let scale = point.spec.scale();
-        let matrix = crate::k3::build_matrix(&point);
-        for w in ALGO_WORKLOADS {
-            let pipeline_cfg = |variant: Variant| PipelineConfig {
-                workload: w,
-                variant,
-                ..point.clone()
-            };
-            size_pool(1)?;
-            let serial_cfg = pipeline_cfg(Variant::Naive);
-            let sw = Stopwatch::start();
-            let serial = workload::run_algo(&serial_cfg, &matrix).map_err(|e| e.to_string())?;
-            let serial_secs = sw.elapsed_secs();
-            rows.push(SweepRow {
-                workload: w.name(),
-                impl_name: "serial",
-                scale,
-                threads: 1,
-                vertices: matrix.rows(),
-                edges: serial.work_items,
-                seconds: serial_secs,
-                meps: serial.work_items as f64 / serial_secs.max(1e-15) / 1e6,
-                stat: serial.stat,
-                checksum: serial.checksum,
-                matches_serial: true,
-            });
-            let opt_cfg = pipeline_cfg(Variant::Optimized);
-            for &threads in &cfg.threads {
-                size_pool(threads)?;
-                let sw = Stopwatch::start();
-                let out = workload::run_algo(&opt_cfg, &matrix).map_err(|e| e.to_string())?;
-                let seconds = sw.elapsed_secs();
-                rows.push(SweepRow {
-                    workload: w.name(),
-                    impl_name: "optimized",
-                    scale,
-                    threads,
-                    vertices: matrix.rows(),
-                    edges: out.work_items,
-                    seconds,
-                    meps: out.work_items as f64 / seconds.max(1e-15) / 1e6,
-                    stat: out.stat,
-                    checksum: out.checksum,
-                    matches_serial: out.values == serial.values,
-                });
-            }
-        }
-        // Leave the pool unpinned for whatever runs next in this process.
-        size_pool(0)?;
-    }
-    Ok(rows)
-}
-
 impl Sweep for SweepConfig {
     type Row = SweepRow;
     const VERSION: &'static str = "ppbench-algo-v1";
     const FILE: &'static str = "BENCH_algo.json";
-    const RATES: &'static [Rate] = &[Rate::new("meps", &["edges"], 1e-6)];
+    const RATES: &'static [Rate] = &[Rate {
+        key: "meps",
+        size: &["edges"],
+        factor: 1e-6,
+    }];
 
     fn header(&self) -> Cells {
         vec![
@@ -167,16 +109,70 @@ impl Sweep for SweepConfig {
         ]
     }
 
-    fn points(&self) -> Result<Vec<PipelineConfig>, String> {
-        let fields = [
-            ("edge_factor", Json::Uint(self.edge_factor)),
-            ("seed", Json::Uint(self.seed)),
-        ];
-        point_configs(&self.scales, &fields)
+    fn scales(&self) -> &[u32] {
+        &self.scales
     }
 
-    fn run(&self) -> Result<Vec<SweepRow>, String> {
-        run_sweep(self)
+    /// Runs the full sweep. Per scale, the kernel-2 matrix is built once;
+    /// per workload, the serial oracle runs first (at one thread) as both a
+    /// measurement and the equality reference, then the optimized kernel
+    /// runs once per requested thread count. Row order is deterministic:
+    /// scale-major, then [`ALGO_WORKLOADS`] order, serial before optimized,
+    /// then thread order as given.
+    fn run(&self, points: &[PipelineConfig]) -> Result<Vec<SweepRow>, String> {
+        let mut rows = Vec::new();
+        for point in points {
+            let scale = point.spec.scale();
+            let matrix = crate::k3::build_matrix(point);
+            for w in ALGO_WORKLOADS {
+                let pipeline_cfg = |variant: Variant| PipelineConfig {
+                    workload: w,
+                    variant,
+                    ..point.clone()
+                };
+                size_pool(1)?;
+                let serial_cfg = pipeline_cfg(Variant::Naive);
+                let sw = Stopwatch::start();
+                let serial = workload::run_algo(&serial_cfg, &matrix).map_err(|e| e.to_string())?;
+                let serial_secs = sw.elapsed_secs();
+                rows.push(SweepRow {
+                    workload: w.name(),
+                    impl_name: "serial",
+                    scale,
+                    threads: 1,
+                    vertices: matrix.rows(),
+                    edges: serial.work_items,
+                    seconds: serial_secs,
+                    meps: serial.work_items as f64 / serial_secs.max(1e-15) / 1e6,
+                    stat: serial.stat,
+                    checksum: serial.checksum,
+                    matches_serial: true,
+                });
+                let opt_cfg = pipeline_cfg(Variant::Optimized);
+                for &threads in &self.threads {
+                    size_pool(threads)?;
+                    let sw = Stopwatch::start();
+                    let out = workload::run_algo(&opt_cfg, &matrix).map_err(|e| e.to_string())?;
+                    let seconds = sw.elapsed_secs();
+                    rows.push(SweepRow {
+                        workload: w.name(),
+                        impl_name: "optimized",
+                        scale,
+                        threads,
+                        vertices: matrix.rows(),
+                        edges: out.work_items,
+                        seconds,
+                        meps: out.work_items as f64 / seconds.max(1e-15) / 1e6,
+                        stat: out.stat,
+                        checksum: out.checksum,
+                        matches_serial: out.values == serial.values,
+                    });
+                }
+            }
+            // Leave the pool unpinned for whatever runs next in this process.
+            size_pool(0)?;
+        }
+        Ok(rows)
     }
 }
 
@@ -196,7 +192,7 @@ mod tests {
     #[test]
     fn sweep_covers_every_workload_and_matches_serial() {
         let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
+        let rows = cfg.run(&crate::table::points(&cfg).unwrap()).unwrap();
         // Measured rows satisfy their own shape and rate checks.
         crate::table::check::<SweepConfig>(&crate::table::render(&cfg, &rows)).unwrap();
         // 4 workloads × (1 serial + 2 optimized thread counts).

@@ -15,26 +15,16 @@ use ppbench_bench::cli::{self, Flag};
 use ppbench_bench::{parse_scale_list, parse_thread_list};
 
 const FLAGS: &[Flag<SweepConfig>] = &[
-    Flag {
-        name: "--scales",
-        value: Some("LO:HI,N,..."),
-        set: |c, v| parse_scale_list(v).map(|n| c.scales = n),
-    },
-    Flag {
-        name: "--threads",
-        value: Some("N,N,..."),
-        set: |c, v| parse_thread_list(v).map(|n| c.threads = n),
-    },
-    Flag {
-        name: "--edge-factor",
-        value: Some("K"),
-        set: |c, v| v.parse().ok().map(|n| c.edge_factor = n),
-    },
-    Flag {
-        name: "--seed",
-        value: Some("N"),
-        set: |c, v| v.parse().ok().map(|n| c.seed = n),
-    },
+    Flag::value("--scales", "LO:HI,N,...", |c, v| {
+        parse_scale_list(v).map(|n| c.scales = n)
+    }),
+    Flag::value("--threads", "N,N,...", |c, v| {
+        parse_thread_list(v).map(|n| c.threads = n)
+    }),
+    Flag::value("--edge-factor", "K", |c, v| {
+        v.parse().ok().map(|n| c.edge_factor = n)
+    }),
+    Flag::value("--seed", "N", |c, v| v.parse().ok().map(|n| c.seed = n)),
 ];
 
 fn main() -> ExitCode {

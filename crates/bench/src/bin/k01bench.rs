@@ -18,56 +18,34 @@ use ppbench_bench::{parse_list, parse_positive, parse_scale_list, parse_thread_l
 use ppbench_gen::RmatSampler;
 
 const FLAGS: &[Flag<SweepConfig>] = &[
-    Flag {
-        name: "--scales",
-        value: Some("LO:HI,N,..."),
-        set: |c, v| parse_scale_list(v).map(|n| c.scales = n),
-    },
-    Flag {
-        name: "--threads",
-        value: Some("N,N,..."),
-        set: |c, v| parse_thread_list(v).map(|n| c.threads = n),
-    },
-    Flag {
-        name: "--edge-factor",
-        value: Some("K"),
-        set: |c, v| v.parse().ok().map(|n| c.edge_factor = n),
-    },
-    Flag {
-        name: "--seed",
-        value: Some("N"),
-        set: |c, v| v.parse().ok().map(|n| c.seed = n),
-    },
-    Flag {
-        name: "--num-files",
-        value: Some("N"),
-        set: |c, v| v.parse().ok().map(|n| c.num_files = n),
-    },
-    Flag {
-        name: "--budget-divisor",
-        value: Some("D"),
-        set: |c, v| parse_positive(v).map(|n| c.budget_divisor = n),
-    },
-    Flag {
-        name: "--trials",
-        value: Some("N"),
-        set: |c, v| parse_positive(v).map(|n| c.trials = n),
-    },
-    Flag {
-        name: "--gens",
-        value: Some("faithful,linear"),
-        set: |c, v| parse_list(v, RmatSampler::parse).map(|n| c.gens = n),
-    },
-    Flag {
-        name: "--faithful-max-scale",
-        value: Some("S"),
-        set: |c, v| v.parse().ok().map(|n| c.faithful_max_scale = Some(n)),
-    },
-    Flag {
-        name: "--k1-max-scale",
-        value: Some("S"),
-        set: |c, v| v.parse().ok().map(|n| c.k1_max_scale = Some(n)),
-    },
+    Flag::value("--scales", "LO:HI,N,...", |c, v| {
+        parse_scale_list(v).map(|n| c.scales = n)
+    }),
+    Flag::value("--threads", "N,N,...", |c, v| {
+        parse_thread_list(v).map(|n| c.threads = n)
+    }),
+    Flag::value("--edge-factor", "K", |c, v| {
+        v.parse().ok().map(|n| c.edge_factor = n)
+    }),
+    Flag::value("--seed", "N", |c, v| v.parse().ok().map(|n| c.seed = n)),
+    Flag::value("--num-files", "N", |c, v| {
+        v.parse().ok().map(|n| c.num_files = n)
+    }),
+    Flag::value("--budget-divisor", "D", |c, v| {
+        parse_positive(v).map(|n| c.budget_divisor = n)
+    }),
+    Flag::value("--trials", "N", |c, v| {
+        parse_positive(v).map(|n| c.trials = n)
+    }),
+    Flag::value("--gens", "faithful,linear", |c, v| {
+        parse_list(v, RmatSampler::parse).map(|n| c.gens = n)
+    }),
+    Flag::value("--faithful-max-scale", "S", |c, v| {
+        v.parse().ok().map(|n| c.faithful_max_scale = Some(n))
+    }),
+    Flag::value("--k1-max-scale", "S", |c, v| {
+        v.parse().ok().map(|n| c.k1_max_scale = Some(n))
+    }),
 ];
 
 fn main() -> ExitCode {

@@ -14,41 +14,25 @@ use ppbench_bench::k3::SweepConfig;
 use ppbench_bench::{parse_positive, parse_scale_list, parse_thread_list};
 
 const FLAGS: &[Flag<SweepConfig>] = &[
-    Flag {
-        name: "--scales",
-        value: Some("LO:HI,N,..."),
-        set: |c, v| parse_scale_list(v).map(|n| c.scales = n),
-    },
-    Flag {
-        name: "--threads",
-        value: Some("N,N,..."),
-        set: |c, v| parse_thread_list(v).map(|n| c.threads = n),
-    },
-    Flag {
-        name: "--edge-factor",
-        value: Some("K"),
-        set: |c, v| v.parse().ok().map(|n| c.edge_factor = n),
-    },
-    Flag {
-        name: "--seed",
-        value: Some("N"),
-        set: |c, v| v.parse().ok().map(|n| c.seed = n),
-    },
-    Flag {
-        name: "--iterations",
-        value: Some("N"),
-        set: |c, v| v.parse().ok().map(|n| c.iterations = n),
-    },
-    Flag {
-        name: "--damping",
-        value: Some("C"),
-        set: |c, v| v.parse().ok().map(|n| c.damping = n),
-    },
-    Flag {
-        name: "--trials",
-        value: Some("N"),
-        set: |c, v| parse_positive(v).map(|n| c.trials = n),
-    },
+    Flag::value("--scales", "LO:HI,N,...", |c, v| {
+        parse_scale_list(v).map(|n| c.scales = n)
+    }),
+    Flag::value("--threads", "N,N,...", |c, v| {
+        parse_thread_list(v).map(|n| c.threads = n)
+    }),
+    Flag::value("--edge-factor", "K", |c, v| {
+        v.parse().ok().map(|n| c.edge_factor = n)
+    }),
+    Flag::value("--seed", "N", |c, v| v.parse().ok().map(|n| c.seed = n)),
+    Flag::value("--iterations", "N", |c, v| {
+        v.parse().ok().map(|n| c.iterations = n)
+    }),
+    Flag::value("--damping", "C", |c, v| {
+        v.parse().ok().map(|n| c.damping = n)
+    }),
+    Flag::value("--trials", "N", |c, v| {
+        parse_positive(v).map(|n| c.trials = n)
+    }),
 ];
 
 fn main() -> ExitCode {

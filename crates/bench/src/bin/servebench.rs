@@ -17,49 +17,27 @@ use ppbench_bench::serve::SweepConfig;
 use ppbench_bench::{parse_positive, parse_rate_list, parse_thread_list};
 
 const FLAGS: &[Flag<SweepConfig>] = &[
-    Flag {
-        name: "--scale",
-        value: Some("N"),
-        set: |c, v| v.parse().ok().map(|n| c.scale = n),
-    },
-    Flag {
-        name: "--edge-factor",
-        value: Some("K"),
-        set: |c, v| v.parse().ok().map(|n| c.edge_factor = n),
-    },
-    Flag {
-        name: "--seed",
-        value: Some("N"),
-        set: |c, v| v.parse().ok().map(|n| c.seed = n),
-    },
-    Flag {
-        name: "--workers",
-        value: Some("N"),
-        set: |c, v| parse_positive(v).map(|n| c.workers = n),
-    },
-    Flag {
-        name: "--rates",
-        value: Some("R,R,..."),
-        set: |c, v| parse_rate_list(v).map(|n| c.rates = n),
-    },
-    Flag {
-        name: "--requests",
-        value: Some("N"),
-        set: |c, v| parse_positive(v).map(|n| c.requests = n),
-    },
-    Flag {
-        name: "--bursts",
-        value: Some("N,N,..."),
-        set: |c, v| parse_thread_list(v).map(|n| c.bursts = n),
-    },
-    Flag {
-        name: "--spawn",
-        value: None,
-        set: |c, _| {
-            c.spawn = true;
-            Some(())
-        },
-    },
+    Flag::value("--scale", "N", |c, v| v.parse().ok().map(|n| c.scale = n)),
+    Flag::value("--edge-factor", "K", |c, v| {
+        v.parse().ok().map(|n| c.edge_factor = n)
+    }),
+    Flag::value("--seed", "N", |c, v| v.parse().ok().map(|n| c.seed = n)),
+    Flag::value("--workers", "N", |c, v| {
+        parse_positive(v).map(|n| c.workers = n)
+    }),
+    Flag::value("--rates", "R,R,...", |c, v| {
+        parse_rate_list(v).map(|n| c.rates = n)
+    }),
+    Flag::value("--requests", "N", |c, v| {
+        parse_positive(v).map(|n| c.requests = n)
+    }),
+    Flag::value("--bursts", "N,N,...", |c, v| {
+        parse_thread_list(v).map(|n| c.bursts = n)
+    }),
+    Flag::switch("--spawn", |c, _| {
+        c.spawn = true;
+        Some(())
+    }),
 ];
 
 fn main() -> ExitCode {

@@ -21,13 +21,36 @@ use crate::table::{self, Sweep};
 /// One sweep-specific flag.
 pub struct Flag<S> {
     /// The flag as typed, e.g. `--scales`.
-    pub name: &'static str,
-    /// Placeholder for its value in the usage text; `None` for a switch,
-    /// which takes no value.
-    pub value: Option<&'static str>,
+    name: &'static str,
+    /// Placeholder for its value in the usage text; `None` for a switch.
+    value: Option<&'static str>,
     /// Applies the value (`""` for a switch) to the sweep config; `None`
     /// when the value is malformed.
-    pub set: fn(&mut S, &str) -> Option<()>,
+    set: fn(&mut S, &str) -> Option<()>,
+}
+
+impl<S> Flag<S> {
+    /// A flag that takes a value, shown as `placeholder` in the usage.
+    pub const fn value(
+        name: &'static str,
+        placeholder: &'static str,
+        set: fn(&mut S, &str) -> Option<()>,
+    ) -> Self {
+        Flag {
+            name,
+            value: Some(placeholder),
+            set,
+        }
+    }
+
+    /// A switch, which takes no value (`set` receives `""`).
+    pub const fn switch(name: &'static str, set: fn(&mut S, &str) -> Option<()>) -> Self {
+        Flag {
+            name,
+            value: None,
+            set,
+        }
+    }
 }
 
 /// The usage text: the two command forms, then one line per flag of the
@@ -86,8 +109,10 @@ fn drive<S: Sweep>(bin: &str, flags: &[Flag<S>]) -> Result<(), (u8, String)> {
         println!("{}: schema ok ({})", path.display(), S::VERSION);
         return Ok(());
     }
-    sweep.points().map_err(|e| (2, format!("{bin}: {e}")))?;
-    let rows = sweep.run().map_err(|e| (1, format!("sweep failed: {e}")))?;
+    let points = table::points(&sweep).map_err(|e| (2, format!("{bin}: {e}")))?;
+    let rows = sweep
+        .run(&points)
+        .map_err(|e| (1, format!("sweep failed: {e}")))?;
     print!("{}", table::text_table::<S>(&rows));
     let json = table::render(&sweep, &rows);
     std::fs::write(&out, format!("{json}\n"))

@@ -32,7 +32,7 @@ use ppbench_io::{EdgeReader, EdgeWriter, Manifest, SortState, BYTES_PER_EDGE};
 use ppbench_sort::{Algorithm, ExternalSorter, SortKey};
 
 use crate::size_pool;
-use crate::table::{point_configs, Cells, Rate, Sweep};
+use crate::table::{Cells, Rate, Sweep};
 
 /// The kernel-0 write strategies under measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -283,227 +283,6 @@ fn rates(bytes: u64, seconds: f64) -> (f64, f64, f64) {
     (mbytes, mb_per_s, mb_per_s / 1e3)
 }
 
-/// Runs the full sweep. For each scale, kernel 0 runs once per requested
-/// sampler (the `gen` axis; the faithful sampler is skipped above
-/// [`SweepConfig::faithful_max_scale`]); within a sampler the serial
-/// variants run once at one thread and the parallel variants once per
-/// requested thread count (the global pool is resized between points).
-/// Kernel 1 then runs once per scale from the first sampler's verified
-/// kernel-0 output, unless the scale exceeds [`SweepConfig::k1_max_scale`].
-/// Each point is measured [`SweepConfig::trials`] times and the fastest
-/// repetition is kept, with every repetition digest-checked against its
-/// first. Row order is deterministic: scale-major, kernel 0 before
-/// kernel 1, then `gens` order, then `ALL` order, then thread order as
-/// given. Every measurement's output digest is checked against its
-/// kernel's first-measured variant under the same sampler; a mismatch
-/// fails the sweep.
-pub fn run_sweep(cfg: &SweepConfig) -> Result<Vec<SweepRow>, String> {
-    let td = TempDir::new("k01bench").map_err(|e| format!("cannot create scratch dir: {e}"))?;
-    if cfg.gens.is_empty() {
-        return Err("no samplers to sweep (gens is empty)".to_string());
-    }
-    let mut rows = Vec::new();
-    for point in cfg.points()? {
-        let scale = point.spec.scale();
-        let gens: Vec<RmatSampler> = cfg
-            .gens
-            .iter()
-            .copied()
-            .filter(|g| {
-                *g != RmatSampler::Faithful || cfg.faithful_max_scale.is_none_or(|cap| scale <= cap)
-            })
-            .collect();
-        if gens.is_empty() {
-            continue;
-        }
-        // Kernel 1's input: the first sampler's verified kernel-0 output.
-        let mut k1_input: Option<(Manifest, std::path::PathBuf, &'static str)> = None;
-
-        // --- Kernel 0: generate + write, once per sampler ---
-        for &gen in &gens {
-            let pcfg = PipelineConfig {
-                gen,
-                ..point.clone()
-            };
-            // The first variant measured under each sampler doubles as
-            // that sampler's byte-level reference (the two samplers emit
-            // different — equally distributed — streams, so references
-            // are per-(scale, gen)).
-            let mut k0_ref: Option<(Manifest, std::path::PathBuf)> = None;
-            for variant in K0Variant::ALL {
-                let thread_counts: &[usize] = if variant.is_parallel() {
-                    &cfg.threads
-                } else {
-                    &[1]
-                };
-                for &threads in thread_counts {
-                    size_pool(threads)?;
-                    // Best-of-N: the first trial's output is kept (for
-                    // the digest reference and as kernel 1's input);
-                    // every later trial must reproduce its byte stream
-                    // and is deleted.
-                    let mut kept: Option<(Manifest, std::path::PathBuf)> = None;
-                    let mut seconds = f64::INFINITY;
-                    for trial in 0..cfg.trials.max(1) {
-                        let dir = td.join(&format!(
-                            "s{scale}-{}-k0-{}-t{threads}-r{trial}",
-                            gen.name(),
-                            variant.name()
-                        ));
-                        let sw = Stopwatch::start();
-                        let manifest = run_k0(&pcfg, variant, &dir)?;
-                        seconds = seconds.min(sw.elapsed_secs());
-                        match &kept {
-                            None => kept = Some((manifest, dir)),
-                            Some((first, _)) => {
-                                if !manifest.digest.same_stream(&first.digest) {
-                                    return Err(format!(
-                                        "k0 {} {} trial {trial} (t{threads}, scale {scale}) \
-                                         wrote a different edge stream than its first trial",
-                                        gen.name(),
-                                        variant.name()
-                                    ));
-                                }
-                                std::fs::remove_dir_all(&dir)
-                                    .map_err(|e| format!("cannot clean {}: {e}", dir.display()))?;
-                            }
-                        }
-                    }
-                    let Some((manifest, dir)) = kept else {
-                        return Err(format!("k0 {} measured no trials", variant.name()));
-                    };
-                    let bytes = dir_bytes(&dir, &manifest)?;
-                    let (mbytes, mb_per_s, gb_per_s) = rates(bytes, seconds);
-                    rows.push(SweepRow {
-                        kernel: "k0",
-                        variant: variant.name(),
-                        gen: gen.name(),
-                        scale,
-                        threads,
-                        edges: manifest.edges,
-                        mbytes,
-                        seconds,
-                        mb_per_s,
-                        gb_per_s,
-                    });
-                    match &k0_ref {
-                        None => k0_ref = Some((manifest, dir)),
-                        Some((reference, _)) => {
-                            if !manifest.digest.same_stream(&reference.digest) {
-                                return Err(format!(
-                                    "k0 {} {} (t{threads}, scale {scale}) wrote a different \
-                                     edge stream than the reference",
-                                    gen.name(),
-                                    variant.name()
-                                ));
-                            }
-                            std::fs::remove_dir_all(&dir)
-                                .map_err(|e| format!("cannot clean {}: {e}", dir.display()))?;
-                        }
-                    }
-                }
-            }
-            let Some((k0_manifest, k0_dir)) = k0_ref else {
-                return Err("kernel 0 measured no variants".to_string());
-            };
-            if k1_input.is_none() {
-                k1_input = Some((k0_manifest, k0_dir, gen.name()));
-            } else {
-                std::fs::remove_dir_all(&k0_dir)
-                    .map_err(|e| format!("cannot clean {}: {e}", k0_dir.display()))?;
-            }
-        }
-        let Some((k0_manifest, k0_dir, k1_gen)) = k1_input else {
-            return Err("kernel 0 measured no samplers".to_string());
-        };
-
-        // --- Kernel 1: read + sort + write, once per scale ---
-        if cfg.k1_max_scale.is_none_or(|cap| scale <= cap) {
-            let in_bytes = k0_manifest.edges.saturating_mul(BYTES_PER_EDGE as u64);
-            let budget_bytes = (in_bytes / cfg.budget_divisor.max(1)).max(BYTES_PER_EDGE as u64);
-            let mut k1_ref: Option<Manifest> = None;
-            for variant in K1Variant::ALL {
-                let thread_counts: &[usize] = if variant.is_parallel() {
-                    &cfg.threads
-                } else {
-                    &[1]
-                };
-                for &threads in thread_counts {
-                    size_pool(threads)?;
-                    // Best-of-N mirrors kernel 0: keep the first trial's
-                    // output, require every repetition to reproduce it.
-                    let mut kept: Option<(Manifest, std::path::PathBuf)> = None;
-                    let mut seconds = f64::INFINITY;
-                    for trial in 0..cfg.trials.max(1) {
-                        let dir = td.join(&format!(
-                            "s{scale}-k1-{}-t{threads}-r{trial}",
-                            variant.name()
-                        ));
-                        let sw = Stopwatch::start();
-                        let manifest = run_k1(&k0_dir, &dir, cfg.num_files, variant, budget_bytes)?;
-                        seconds = seconds.min(sw.elapsed_secs());
-                        match &kept {
-                            None => kept = Some((manifest, dir)),
-                            Some((first, _)) => {
-                                if !manifest.digest.same_stream(&first.digest) {
-                                    return Err(format!(
-                                        "k1 {} trial {trial} (t{threads}, scale {scale}) \
-                                         produced a different sorted stream than its first trial",
-                                        variant.name()
-                                    ));
-                                }
-                                std::fs::remove_dir_all(&dir)
-                                    .map_err(|e| format!("cannot clean {}: {e}", dir.display()))?;
-                            }
-                        }
-                    }
-                    let Some((manifest, dir)) = kept else {
-                        return Err(format!("k1 {} measured no trials", variant.name()));
-                    };
-                    let bytes = dir_bytes(&dir, &manifest)?;
-                    if !manifest.sort_state.is_sorted_by_start() {
-                        return Err(format!("k1 {} output is not sorted", variant.name()));
-                    }
-                    // All three paths are stable sorts, so their output
-                    // streams must be byte-identical.
-                    match &k1_ref {
-                        None => k1_ref = Some(manifest.clone()),
-                        Some(reference) => {
-                            if !manifest.digest.same_stream(&reference.digest) {
-                                return Err(format!(
-                                    "k1 {} (t{threads}, scale {scale}) produced a different \
-                                     sorted stream than the reference",
-                                    variant.name()
-                                ));
-                            }
-                        }
-                    }
-                    let (mbytes, mb_per_s, gb_per_s) = rates(bytes, seconds);
-                    rows.push(SweepRow {
-                        kernel: "k1",
-                        variant: variant.name(),
-                        gen: k1_gen,
-                        scale,
-                        threads,
-                        edges: manifest.edges,
-                        mbytes,
-                        seconds,
-                        mb_per_s,
-                        gb_per_s,
-                    });
-                    std::fs::remove_dir_all(&dir)
-                        .map_err(|e| format!("cannot clean {}: {e}", dir.display()))?;
-                }
-            }
-        }
-        std::fs::remove_dir_all(&k0_dir)
-            .map_err(|e| format!("cannot clean {}: {e}", k0_dir.display()))?;
-        // Leave the pool unpinned for whatever runs next in this process.
-        size_pool(0)?;
-    }
-    Ok(rows)
-}
-
 impl Sweep for SweepConfig {
     type Row = SweepRow;
     /// v3 added the `gen` axis (R-MAT sampler per kernel-0 row), the
@@ -512,8 +291,16 @@ impl Sweep for SweepConfig {
     const VERSION: &'static str = "ppbench-k01-v3";
     const FILE: &'static str = "BENCH_k01.json";
     const RATES: &'static [Rate] = &[
-        Rate::new("mb_per_s", &["mbytes"], 1.0),
-        Rate::new("gb_per_s", &["mbytes"], 1e-3),
+        Rate {
+            key: "mb_per_s",
+            size: &["mbytes"],
+            factor: 1.0,
+        },
+        Rate {
+            key: "gb_per_s",
+            size: &["mbytes"],
+            factor: 1e-3,
+        },
     ];
 
     fn header(&self) -> Cells {
@@ -550,17 +337,234 @@ impl Sweep for SweepConfig {
         ]
     }
 
-    fn points(&self) -> Result<Vec<PipelineConfig>, String> {
-        let fields = [
-            ("edge_factor", Json::Uint(self.edge_factor)),
-            ("seed", Json::Uint(self.seed)),
-            ("num_files", Json::Uint(self.num_files as u64)),
-        ];
-        point_configs(&self.scales, &fields)
+    fn scales(&self) -> &[u32] {
+        &self.scales
     }
 
-    fn run(&self) -> Result<Vec<SweepRow>, String> {
-        run_sweep(self)
+    /// Runs the full sweep. For each scale, kernel 0 runs once per requested
+    /// sampler (the `gen` axis; the faithful sampler is skipped above
+    /// [`SweepConfig::faithful_max_scale`]); within a sampler the serial
+    /// variants run once at one thread and the parallel variants once per
+    /// requested thread count (the global pool is resized between points).
+    /// Kernel 1 then runs once per scale from the first sampler's verified
+    /// kernel-0 output, unless the scale exceeds [`SweepConfig::k1_max_scale`].
+    /// Each point is measured [`SweepConfig::trials`] times and the fastest
+    /// repetition is kept, with every repetition digest-checked against its
+    /// first. Row order is deterministic: scale-major, kernel 0 before
+    /// kernel 1, then `gens` order, then `ALL` order, then thread order as
+    /// given. Every measurement's output digest is checked against its
+    /// kernel's first-measured variant under the same sampler; a mismatch
+    /// fails the sweep.
+    fn run(&self, points: &[PipelineConfig]) -> Result<Vec<SweepRow>, String> {
+        let td = TempDir::new("k01bench").map_err(|e| format!("cannot create scratch dir: {e}"))?;
+        if self.gens.is_empty() {
+            return Err("no samplers to sweep (gens is empty)".to_string());
+        }
+        let mut rows = Vec::new();
+        for point in points {
+            let scale = point.spec.scale();
+            let gens: Vec<RmatSampler> = self
+                .gens
+                .iter()
+                .copied()
+                .filter(|g| {
+                    *g != RmatSampler::Faithful
+                        || self.faithful_max_scale.is_none_or(|cap| scale <= cap)
+                })
+                .collect();
+            if gens.is_empty() {
+                continue;
+            }
+            // Kernel 1's input: the first sampler's verified kernel-0 output.
+            let mut k1_input: Option<(Manifest, std::path::PathBuf, &'static str)> = None;
+
+            // --- Kernel 0: generate + write, once per sampler ---
+            for &gen in &gens {
+                let pcfg = PipelineConfig {
+                    gen,
+                    ..point.clone()
+                };
+                // The first variant measured under each sampler doubles as
+                // that sampler's byte-level reference (the two samplers emit
+                // different — equally distributed — streams, so references
+                // are per-(scale, gen)).
+                let mut k0_ref: Option<(Manifest, std::path::PathBuf)> = None;
+                for variant in K0Variant::ALL {
+                    let thread_counts: &[usize] = if variant.is_parallel() {
+                        &self.threads
+                    } else {
+                        &[1]
+                    };
+                    for &threads in thread_counts {
+                        size_pool(threads)?;
+                        // Best-of-N: the first trial's output is kept (for
+                        // the digest reference and as kernel 1's input);
+                        // every later trial must reproduce its byte stream
+                        // and is deleted.
+                        let mut kept: Option<(Manifest, std::path::PathBuf)> = None;
+                        let mut seconds = f64::INFINITY;
+                        for trial in 0..self.trials.max(1) {
+                            let dir = td.join(&format!(
+                                "s{scale}-{}-k0-{}-t{threads}-r{trial}",
+                                gen.name(),
+                                variant.name()
+                            ));
+                            let sw = Stopwatch::start();
+                            let manifest = run_k0(&pcfg, variant, &dir)?;
+                            seconds = seconds.min(sw.elapsed_secs());
+                            match &kept {
+                                None => kept = Some((manifest, dir)),
+                                Some((first, _)) => {
+                                    if !manifest.digest.same_stream(&first.digest) {
+                                        return Err(format!(
+                                            "k0 {} {} trial {trial} (t{threads}, scale {scale}) \
+                                             wrote a different edge stream than its first trial",
+                                            gen.name(),
+                                            variant.name()
+                                        ));
+                                    }
+                                    std::fs::remove_dir_all(&dir).map_err(|e| {
+                                        format!("cannot clean {}: {e}", dir.display())
+                                    })?;
+                                }
+                            }
+                        }
+                        let Some((manifest, dir)) = kept else {
+                            return Err(format!("k0 {} measured no trials", variant.name()));
+                        };
+                        let bytes = dir_bytes(&dir, &manifest)?;
+                        let (mbytes, mb_per_s, gb_per_s) = rates(bytes, seconds);
+                        rows.push(SweepRow {
+                            kernel: "k0",
+                            variant: variant.name(),
+                            gen: gen.name(),
+                            scale,
+                            threads,
+                            edges: manifest.edges,
+                            mbytes,
+                            seconds,
+                            mb_per_s,
+                            gb_per_s,
+                        });
+                        match &k0_ref {
+                            None => k0_ref = Some((manifest, dir)),
+                            Some((reference, _)) => {
+                                if !manifest.digest.same_stream(&reference.digest) {
+                                    return Err(format!(
+                                        "k0 {} {} (t{threads}, scale {scale}) wrote a different \
+                                         edge stream than the reference",
+                                        gen.name(),
+                                        variant.name()
+                                    ));
+                                }
+                                std::fs::remove_dir_all(&dir)
+                                    .map_err(|e| format!("cannot clean {}: {e}", dir.display()))?;
+                            }
+                        }
+                    }
+                }
+                let Some((k0_manifest, k0_dir)) = k0_ref else {
+                    return Err("kernel 0 measured no variants".to_string());
+                };
+                if k1_input.is_none() {
+                    k1_input = Some((k0_manifest, k0_dir, gen.name()));
+                } else {
+                    std::fs::remove_dir_all(&k0_dir)
+                        .map_err(|e| format!("cannot clean {}: {e}", k0_dir.display()))?;
+                }
+            }
+            let Some((k0_manifest, k0_dir, k1_gen)) = k1_input else {
+                return Err("kernel 0 measured no samplers".to_string());
+            };
+
+            // --- Kernel 1: read + sort + write, once per scale ---
+            if self.k1_max_scale.is_none_or(|cap| scale <= cap) {
+                let in_bytes = k0_manifest.edges.saturating_mul(BYTES_PER_EDGE as u64);
+                let budget_bytes =
+                    (in_bytes / self.budget_divisor.max(1)).max(BYTES_PER_EDGE as u64);
+                let mut k1_ref: Option<Manifest> = None;
+                for variant in K1Variant::ALL {
+                    let thread_counts: &[usize] = if variant.is_parallel() {
+                        &self.threads
+                    } else {
+                        &[1]
+                    };
+                    for &threads in thread_counts {
+                        size_pool(threads)?;
+                        // Best-of-N mirrors kernel 0: keep the first trial's
+                        // output, require every repetition to reproduce it.
+                        let mut kept: Option<(Manifest, std::path::PathBuf)> = None;
+                        let mut seconds = f64::INFINITY;
+                        for trial in 0..self.trials.max(1) {
+                            let dir = td.join(&format!(
+                                "s{scale}-k1-{}-t{threads}-r{trial}",
+                                variant.name()
+                            ));
+                            let sw = Stopwatch::start();
+                            let manifest =
+                                run_k1(&k0_dir, &dir, self.num_files, variant, budget_bytes)?;
+                            seconds = seconds.min(sw.elapsed_secs());
+                            match &kept {
+                                None => kept = Some((manifest, dir)),
+                                Some((first, _)) => {
+                                    if !manifest.digest.same_stream(&first.digest) {
+                                        return Err(format!(
+                                            "k1 {} trial {trial} (t{threads}, scale {scale}) \
+                                             produced a different sorted stream than its first trial",
+                                            variant.name()
+                                        ));
+                                    }
+                                    std::fs::remove_dir_all(&dir).map_err(|e| {
+                                        format!("cannot clean {}: {e}", dir.display())
+                                    })?;
+                                }
+                            }
+                        }
+                        let Some((manifest, dir)) = kept else {
+                            return Err(format!("k1 {} measured no trials", variant.name()));
+                        };
+                        let bytes = dir_bytes(&dir, &manifest)?;
+                        if !manifest.sort_state.is_sorted_by_start() {
+                            return Err(format!("k1 {} output is not sorted", variant.name()));
+                        }
+                        // All three paths are stable sorts, so their output
+                        // streams must be byte-identical.
+                        match &k1_ref {
+                            None => k1_ref = Some(manifest.clone()),
+                            Some(reference) => {
+                                if !manifest.digest.same_stream(&reference.digest) {
+                                    return Err(format!(
+                                        "k1 {} (t{threads}, scale {scale}) produced a different \
+                                         sorted stream than the reference",
+                                        variant.name()
+                                    ));
+                                }
+                            }
+                        }
+                        let (mbytes, mb_per_s, gb_per_s) = rates(bytes, seconds);
+                        rows.push(SweepRow {
+                            kernel: "k1",
+                            variant: variant.name(),
+                            gen: k1_gen,
+                            scale,
+                            threads,
+                            edges: manifest.edges,
+                            mbytes,
+                            seconds,
+                            mb_per_s,
+                            gb_per_s,
+                        });
+                        std::fs::remove_dir_all(&dir)
+                            .map_err(|e| format!("cannot clean {}: {e}", dir.display()))?;
+                    }
+                }
+            }
+            std::fs::remove_dir_all(&k0_dir)
+                .map_err(|e| format!("cannot clean {}: {e}", k0_dir.display()))?;
+            // Leave the pool unpinned for whatever runs next in this process.
+            size_pool(0)?;
+        }
+        Ok(rows)
     }
 }
 
@@ -594,14 +598,14 @@ mod tests {
             trials: 2,
             ..tiny_cfg()
         };
-        let rows = run_sweep(&cfg).unwrap();
+        let rows = cfg.run(&crate::table::points(&cfg).unwrap()).unwrap();
         assert_eq!(rows.len(), TINY_ROWS);
     }
 
     #[test]
     fn sweep_covers_every_variant_and_streams_agree() {
         let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
+        let rows = cfg.run(&crate::table::points(&cfg).unwrap()).unwrap();
         // Measured rows satisfy their own shape and rate checks.
         crate::table::check::<SweepConfig>(&crate::table::render(&cfg, &rows)).unwrap();
         assert_eq!(rows.len(), TINY_ROWS);
@@ -648,7 +652,7 @@ mod tests {
             k1_max_scale: Some(5),
             ..tiny_cfg()
         };
-        let rows = run_sweep(&cfg).unwrap();
+        let rows = cfg.run(&crate::table::points(&cfg).unwrap()).unwrap();
         // Scale 5 runs the full matrix; scale 6 is linear-only with no k1.
         assert!(rows
             .iter()

@@ -21,7 +21,7 @@ use ppbench_sort::SortKey;
 use ppbench_sparse::{ops, spmv, vector, Csr, Csr32};
 
 use crate::size_pool;
-use crate::table::{point_configs, Cells, Rate, Sweep};
+use crate::table::{Cells, Rate, Sweep};
 
 /// The kernel-3 implementations under measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,84 +173,15 @@ fn run_variant(
     Some((run, sw.elapsed_secs()))
 }
 
-/// Runs the full sweep. For each scale the serial variants run once at
-/// one thread; the parallel variants run once per requested thread count
-/// (the global pool is resized between points). Each point is measured
-/// [`SweepConfig::trials`] times and the fastest repetition is kept. Row
-/// order is deterministic: scale-major, then [`K3Variant::ALL`] order,
-/// then thread order as given.
-pub fn run_sweep(cfg: &SweepConfig) -> Result<Vec<SweepRow>, String> {
-    let mut rows = Vec::new();
-    for point in cfg.points()? {
-        let scale = point.spec.scale();
-        let a = build_matrix(&point);
-        let at = a.transpose();
-        let narrow = Csr32::try_from_wide(&at);
-        let dangling = DanglingInfo::from_mask(&ops::empty_rows(&a));
-        let fx = ScaleFixture {
-            at,
-            narrow,
-            dangling,
-            opts: PageRankOptions {
-                damping: point.damping,
-                max_iterations: point.iterations,
-                dangling: DanglingStrategy::Omit,
-                tolerance: None,
-            },
-            seed: point.seed,
-            a,
-        };
-        let flops = 2.0 * fx.a.nnz() as f64 * f64::from(point.iterations);
-        // Serial scatter is both a measurement and the accuracy reference.
-        size_pool(1)?;
-        let Some((reference, _)) = run_variant(&fx, K3Variant::Scatter, 1) else {
-            return Err("scatter reference did not run".to_string());
-        };
-        for variant in K3Variant::ALL {
-            let thread_counts: &[usize] = if variant.is_parallel() {
-                &cfg.threads
-            } else {
-                &[1]
-            };
-            for &threads in thread_counts {
-                size_pool(threads)?;
-                let mut best: Option<(PageRankRun, f64)> = None;
-                for _trial in 0..cfg.trials.max(1) {
-                    let Some(measured) = run_variant(&fx, variant, threads) else {
-                        // u32 variant on a >2^32-column matrix: nothing
-                        // to measure.
-                        break;
-                    };
-                    if best.as_ref().is_none_or(|(_, b)| measured.1 < *b) {
-                        best = Some(measured);
-                    }
-                }
-                let Some((run, seconds)) = best else {
-                    continue;
-                };
-                rows.push(SweepRow {
-                    variant: variant.name(),
-                    scale,
-                    threads,
-                    vertices: fx.a.rows(),
-                    nnz: fx.a.nnz() as u64,
-                    seconds,
-                    gflops: flops / seconds.max(1e-15) / 1e9,
-                    l1_vs_serial: vector::l1_distance(&run.ranks, &reference.ranks),
-                });
-            }
-        }
-        // Leave the pool unpinned for whatever runs next in this process.
-        size_pool(0)?;
-    }
-    Ok(rows)
-}
-
 impl Sweep for SweepConfig {
     type Row = SweepRow;
     const VERSION: &'static str = "ppbench-k3-v2";
     const FILE: &'static str = "BENCH_k3.json";
-    const RATES: &'static [Rate] = &[Rate::new("gflops", &["nnz", "iterations"], 2e-9)];
+    const RATES: &'static [Rate] = &[Rate {
+        key: "gflops",
+        size: &["nnz", "iterations"],
+        factor: 2e-9,
+    }];
 
     fn header(&self) -> Cells {
         vec![
@@ -275,18 +206,81 @@ impl Sweep for SweepConfig {
         ]
     }
 
-    fn points(&self) -> Result<Vec<PipelineConfig>, String> {
-        let fields = [
-            ("edge_factor", Json::Uint(self.edge_factor)),
-            ("seed", Json::Uint(self.seed)),
-            ("damping", Json::Number(self.damping)),
-            ("iterations", Json::Uint(u64::from(self.iterations))),
-        ];
-        point_configs(&self.scales, &fields)
+    fn scales(&self) -> &[u32] {
+        &self.scales
     }
 
-    fn run(&self) -> Result<Vec<SweepRow>, String> {
-        run_sweep(self)
+    /// Runs the full sweep. For each scale the serial variants run once at
+    /// one thread; the parallel variants run once per requested thread count
+    /// (the global pool is resized between points). Each point is measured
+    /// [`SweepConfig::trials`] times and the fastest repetition is kept. Row
+    /// order is deterministic: scale-major, then [`K3Variant::ALL`] order,
+    /// then thread order as given.
+    fn run(&self, points: &[PipelineConfig]) -> Result<Vec<SweepRow>, String> {
+        let mut rows = Vec::new();
+        for point in points {
+            let scale = point.spec.scale();
+            let a = build_matrix(point);
+            let at = a.transpose();
+            let narrow = Csr32::try_from_wide(&at);
+            let dangling = DanglingInfo::from_mask(&ops::empty_rows(&a));
+            let fx = ScaleFixture {
+                at,
+                narrow,
+                dangling,
+                opts: PageRankOptions {
+                    damping: point.damping,
+                    max_iterations: point.iterations,
+                    dangling: DanglingStrategy::Omit,
+                    tolerance: None,
+                },
+                seed: point.seed,
+                a,
+            };
+            let flops = 2.0 * fx.a.nnz() as f64 * f64::from(point.iterations);
+            // Serial scatter is both a measurement and the accuracy reference.
+            size_pool(1)?;
+            let Some((reference, _)) = run_variant(&fx, K3Variant::Scatter, 1) else {
+                return Err("scatter reference did not run".to_string());
+            };
+            for variant in K3Variant::ALL {
+                let thread_counts: &[usize] = if variant.is_parallel() {
+                    &self.threads
+                } else {
+                    &[1]
+                };
+                for &threads in thread_counts {
+                    size_pool(threads)?;
+                    let mut best: Option<(PageRankRun, f64)> = None;
+                    for _trial in 0..self.trials.max(1) {
+                        let Some(measured) = run_variant(&fx, variant, threads) else {
+                            // u32 variant on a >2^32-column matrix: nothing
+                            // to measure.
+                            break;
+                        };
+                        if best.as_ref().is_none_or(|(_, b)| measured.1 < *b) {
+                            best = Some(measured);
+                        }
+                    }
+                    let Some((run, seconds)) = best else {
+                        continue;
+                    };
+                    rows.push(SweepRow {
+                        variant: variant.name(),
+                        scale,
+                        threads,
+                        vertices: fx.a.rows(),
+                        nnz: fx.a.nnz() as u64,
+                        seconds,
+                        gflops: flops / seconds.max(1e-15) / 1e9,
+                        l1_vs_serial: vector::l1_distance(&run.ranks, &reference.ranks),
+                    });
+                }
+            }
+            // Leave the pool unpinned for whatever runs next in this process.
+            size_pool(0)?;
+        }
+        Ok(rows)
     }
 }
 
@@ -308,7 +302,7 @@ mod tests {
     #[test]
     fn sweep_covers_every_variant_and_agrees_with_serial() {
         let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
+        let rows = cfg.run(&crate::table::points(&cfg).unwrap()).unwrap();
         // Measured rows satisfy their own shape and rate checks.
         crate::table::check::<SweepConfig>(&crate::table::render(&cfg, &rows)).unwrap();
         // 2 serial rows + the parallel variant × 2 thread counts.
@@ -337,7 +331,7 @@ mod tests {
             trials: 3,
             ..tiny_cfg()
         };
-        let rows = run_sweep(&cfg).unwrap();
+        let rows = cfg.run(&crate::table::points(&cfg).unwrap()).unwrap();
         assert_eq!(rows.len(), 2 + 2);
         for row in &rows {
             assert!(row.l1_vs_serial < 1e-12, "{row:?}");

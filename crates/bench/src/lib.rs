@@ -122,6 +122,15 @@ mod tests {
     use super::*;
 
     #[test]
+    fn scale_range_parses() {
+        assert_eq!(parse_scale_range("16:22"), Some(16..=22));
+        assert_eq!(parse_scale_range("5:5"), Some(5..=5));
+        assert_eq!(parse_scale_range("9:4"), None);
+        assert_eq!(parse_scale_range("junk"), None);
+        assert_eq!(parse_scale_range("1:99"), None);
+    }
+
+    #[test]
     fn scale_list_parses_singles_ranges_and_mixes() {
         assert_eq!(parse_scale_list("22"), Some(vec![22]));
         assert_eq!(parse_scale_list("16:18"), Some(vec![16, 17, 18]));

@@ -32,7 +32,7 @@ use ppbench_sort::SortKey;
 use ppbench_sparse::Csr;
 
 use crate::size_pool;
-use crate::table::{point_configs, Cells, Rate, Sweep};
+use crate::table::{Cells, Rate, Sweep};
 
 /// The two K1→K2 data paths under measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,105 +176,15 @@ fn run_fused(cfg: &PipelineConfig, k0_dir: &Path, work: &Path) -> Result<Measure
     })
 }
 
-/// Runs the full sweep. For each scale, kernel 0 writes one input file
-/// set (unmeasured), the staged baseline runs at one thread, and the
-/// fused path runs at every requested thread count; each point keeps the
-/// fastest of [`SweepConfig::trials`] repetitions. Every repetition —
-/// not just the kept one — must match the staged reference's matrix,
-/// filter stats, and sorted-stream digest exactly. Row order is
-/// deterministic: scale-major, staged before fused, then thread order as
-/// given.
-pub fn run_sweep(cfg: &SweepConfig) -> Result<Vec<SweepRow>, String> {
-    let td = TempDir::new("pipebench").map_err(|e| format!("cannot create scratch dir: {e}"))?;
-    let mut rows = Vec::new();
-    for pcfg in cfg.points()? {
-        let scale = pcfg.spec.scale();
-        let k0_dir = td.join(&format!("s{scale}-k0"));
-        let k0_manifest = OptimizedBackend
-            .kernel0(&pcfg, &k0_dir)
-            .map_err(|e| format!("kernel 0: {e}"))?;
-
-        let mut reference: Option<Reference> = None;
-        for mode in PipeMode::ALL {
-            let thread_counts: &[usize] = if mode.is_parallel() {
-                &cfg.threads
-            } else {
-                &[1]
-            };
-            for &threads in thread_counts {
-                size_pool(threads)?;
-                let mut best: Option<(f64, f64)> = None;
-                for trial in 0..cfg.trials.max(1) {
-                    let work = td.join(&format!("s{scale}-{}-t{threads}-r{trial}", mode.name()));
-                    let measured = match mode {
-                        PipeMode::Staged => run_staged(&pcfg, &k0_dir, &work),
-                        PipeMode::Fused => run_fused(&pcfg, &k0_dir, &work),
-                    }?;
-                    match &reference {
-                        None => {
-                            reference = Some(Reference {
-                                digest: measured.digest,
-                                stats: measured.stats,
-                                matrix: measured.matrix,
-                            });
-                        }
-                        Some(r) => {
-                            let point = format!(
-                                "{} (t{threads}, trial {trial}, scale {scale})",
-                                mode.name()
-                            );
-                            if !measured.digest.same_stream(&r.digest) {
-                                return Err(format!(
-                                    "{point}: sorted-stream digest differs from the \
-                                     staged reference"
-                                ));
-                            }
-                            if measured.stats != r.stats {
-                                return Err(format!(
-                                    "{point}: filter stats differ from the staged reference"
-                                ));
-                            }
-                            if measured.matrix != r.matrix {
-                                return Err(format!(
-                                    "{point}: matrix differs from the staged reference"
-                                ));
-                            }
-                        }
-                    }
-                    let total = measured.k1_seconds + measured.k2_seconds;
-                    if best.is_none_or(|(k1, k2)| total < k1 + k2) {
-                        best = Some((measured.k1_seconds, measured.k2_seconds));
-                    }
-                }
-                let Some((k1_seconds, k2_seconds)) = best else {
-                    return Err(format!("{} measured no trials", mode.name()));
-                };
-                let seconds = k1_seconds + k2_seconds;
-                rows.push(SweepRow {
-                    mode: mode.name(),
-                    scale,
-                    threads,
-                    edges: k0_manifest.edges,
-                    k1_seconds,
-                    k2_seconds,
-                    seconds,
-                    edges_per_s: k0_manifest.edges as f64 / seconds.max(1e-15),
-                });
-            }
-        }
-        std::fs::remove_dir_all(&k0_dir)
-            .map_err(|e| format!("cannot clean {}: {e}", k0_dir.display()))?;
-        // Leave the pool unpinned for whatever runs next in this process.
-        size_pool(0)?;
-    }
-    Ok(rows)
-}
-
 impl Sweep for SweepConfig {
     type Row = SweepRow;
     const VERSION: &'static str = "ppbench-pipeline-v1";
     const FILE: &'static str = "BENCH_pipeline.json";
-    const RATES: &'static [Rate] = &[Rate::new("edges_per_s", &["edges"], 1.0)];
+    const RATES: &'static [Rate] = &[Rate {
+        key: "edges_per_s",
+        size: &["edges"],
+        factor: 1.0,
+    }];
 
     fn header(&self) -> Cells {
         vec![
@@ -298,21 +208,111 @@ impl Sweep for SweepConfig {
         ]
     }
 
-    /// `StartEnd` sorting, so the staged sorted stream is byte-comparable
-    /// to the fused path's concatenated per-bucket digests.
-    fn points(&self) -> Result<Vec<PipelineConfig>, String> {
-        let sort_key = SortKey::StartEnd.name().to_string();
-        let fields = [
-            ("edge_factor", Json::Uint(self.edge_factor)),
-            ("seed", Json::Uint(self.seed)),
-            ("num_files", Json::Uint(self.num_files as u64)),
-            ("sort_key", Json::String(sort_key)),
-        ];
-        point_configs(&self.scales, &fields)
+    fn scales(&self) -> &[u32] {
+        &self.scales
     }
 
-    fn run(&self) -> Result<Vec<SweepRow>, String> {
-        run_sweep(self)
+    /// Runs the full sweep. For each scale, kernel 0 writes one input file
+    /// set (unmeasured), the staged baseline runs at one thread, and the
+    /// fused path runs at every requested thread count; each point keeps the
+    /// fastest of [`SweepConfig::trials`] repetitions. Every repetition —
+    /// not just the kept one — must match the staged reference's matrix,
+    /// filter stats, and sorted-stream digest exactly. Row order is
+    /// deterministic: scale-major, staged before fused, then thread order as
+    /// given.
+    fn run(&self, points: &[PipelineConfig]) -> Result<Vec<SweepRow>, String> {
+        let td =
+            TempDir::new("pipebench").map_err(|e| format!("cannot create scratch dir: {e}"))?;
+        let mut rows = Vec::new();
+        for point in points {
+            // `StartEnd` sorting, so the staged sorted stream is
+            // byte-comparable to the fused path's concatenated per-bucket
+            // digests.
+            let pcfg = PipelineConfig {
+                sort_key: SortKey::StartEnd,
+                ..point.clone()
+            };
+            let scale = pcfg.spec.scale();
+            let k0_dir = td.join(&format!("s{scale}-k0"));
+            let k0_manifest = OptimizedBackend
+                .kernel0(&pcfg, &k0_dir)
+                .map_err(|e| format!("kernel 0: {e}"))?;
+
+            let mut reference: Option<Reference> = None;
+            for mode in PipeMode::ALL {
+                let thread_counts: &[usize] = if mode.is_parallel() {
+                    &self.threads
+                } else {
+                    &[1]
+                };
+                for &threads in thread_counts {
+                    size_pool(threads)?;
+                    let mut best: Option<(f64, f64)> = None;
+                    for trial in 0..self.trials.max(1) {
+                        let work =
+                            td.join(&format!("s{scale}-{}-t{threads}-r{trial}", mode.name()));
+                        let measured = match mode {
+                            PipeMode::Staged => run_staged(&pcfg, &k0_dir, &work),
+                            PipeMode::Fused => run_fused(&pcfg, &k0_dir, &work),
+                        }?;
+                        match &reference {
+                            None => {
+                                reference = Some(Reference {
+                                    digest: measured.digest,
+                                    stats: measured.stats,
+                                    matrix: measured.matrix,
+                                });
+                            }
+                            Some(r) => {
+                                let point = format!(
+                                    "{} (t{threads}, trial {trial}, scale {scale})",
+                                    mode.name()
+                                );
+                                if !measured.digest.same_stream(&r.digest) {
+                                    return Err(format!(
+                                        "{point}: sorted-stream digest differs from the \
+                                         staged reference"
+                                    ));
+                                }
+                                if measured.stats != r.stats {
+                                    return Err(format!(
+                                        "{point}: filter stats differ from the staged reference"
+                                    ));
+                                }
+                                if measured.matrix != r.matrix {
+                                    return Err(format!(
+                                        "{point}: matrix differs from the staged reference"
+                                    ));
+                                }
+                            }
+                        }
+                        let total = measured.k1_seconds + measured.k2_seconds;
+                        if best.is_none_or(|(k1, k2)| total < k1 + k2) {
+                            best = Some((measured.k1_seconds, measured.k2_seconds));
+                        }
+                    }
+                    let Some((k1_seconds, k2_seconds)) = best else {
+                        return Err(format!("{} measured no trials", mode.name()));
+                    };
+                    let seconds = k1_seconds + k2_seconds;
+                    rows.push(SweepRow {
+                        mode: mode.name(),
+                        scale,
+                        threads,
+                        edges: k0_manifest.edges,
+                        k1_seconds,
+                        k2_seconds,
+                        seconds,
+                        edges_per_s: k0_manifest.edges as f64 / seconds.max(1e-15),
+                    });
+                }
+            }
+            std::fs::remove_dir_all(&k0_dir)
+                .map_err(|e| format!("cannot clean {}: {e}", k0_dir.display()))?;
+            // Leave the pool unpinned for whatever runs next in this process.
+            size_pool(0)?;
+        }
+        Ok(rows)
     }
 }
 
@@ -334,7 +334,7 @@ mod tests {
     #[test]
     fn sweep_covers_both_modes_and_stays_bit_identical() {
         let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
+        let rows = cfg.run(&crate::table::points(&cfg).unwrap()).unwrap();
         // Measured rows satisfy their own shape and rate checks.
         crate::table::check::<SweepConfig>(&crate::table::render(&cfg, &rows)).unwrap();
         // Staged once + fused × 2 thread counts.
@@ -359,7 +359,7 @@ mod tests {
             trials: 2,
             ..tiny_cfg()
         };
-        let rows = run_sweep(&cfg).unwrap();
+        let rows = cfg.run(&crate::table::points(&cfg).unwrap()).unwrap();
         assert_eq!(rows.len(), 1 + 2);
     }
 }

@@ -36,7 +36,7 @@ use ppbench_core::PipelineConfig;
 use ppbench_serve::loadgen::{run_load, LoadConfig, LoadReport};
 use ppbench_serve::{http_request, HttpServer, Service, ServiceConfig};
 
-use crate::table::{point_configs, Cells, Rate, Sweep};
+use crate::table::{Cells, Rate, Sweep};
 
 /// What to sweep.
 #[derive(Debug, Clone)]
@@ -292,59 +292,15 @@ fn to_row(mode: &'static str, offered_rps: f64, report: &LoadReport) -> Result<S
     })
 }
 
-/// Runs the full sweep: start a server (in-process or spawned), prewarm
-/// the config, measure every open-loop rate, then every burst size, and
-/// stop the server gracefully. Row order is deterministic: open rows in
-/// rate order, then burst rows in size order.
-pub fn run_sweep(cfg: &SweepConfig) -> Result<Vec<SweepRow>, String> {
-    cfg.points()?;
-    let server = if cfg.spawn {
-        start_spawned(cfg)?
-    } else {
-        start_in_process(cfg)?
-    };
-    let body = format!(
-        "{{\"scale\":{},\"edge_factor\":{},\"seed\":{}}}",
-        cfg.scale, cfg.edge_factor, cfg.seed
-    );
-    prewarm(server.addr(), &body)?;
-
-    let load = |requests: usize, rate: f64| -> Result<LoadReport, String> {
-        run_load(&LoadConfig {
-            addr: server.addr().to_string(),
-            method: "POST".to_string(),
-            path: "/runs".to_string(),
-            body: body.clone(),
-            requests,
-            rate,
-            timeout: Duration::from_secs(30),
-            max_open: 16 * 1024,
-        })
-        .map_err(|e| format!("load run failed: {e}"))
-    };
-
-    let mut rows = Vec::new();
-    for &rate in &cfg.rates {
-        if rate <= 0.0 {
-            return Err(format!("open-loop rate must be positive, got {rate}"));
-        }
-        rows.push(to_row("open", rate, &load(cfg.requests, rate)?)?);
-    }
-    for &burst in &cfg.bursts {
-        if burst == 0 {
-            return Err("burst size must be positive".to_string());
-        }
-        rows.push(to_row("burst", 0.0, &load(burst, 0.0)?)?);
-    }
-    server.stop()?;
-    Ok(rows)
-}
-
 impl Sweep for SweepConfig {
     type Row = SweepRow;
     const VERSION: &'static str = "ppbench-serve-v1";
     const FILE: &'static str = "BENCH_serve.json";
-    const RATES: &'static [Rate] = &[Rate::new("achieved_rps", &["requests"], 1.0)];
+    const RATES: &'static [Rate] = &[Rate {
+        key: "achieved_rps",
+        size: &["requests"],
+        factor: 1.0,
+    }];
 
     fn header(&self) -> Cells {
         vec![
@@ -369,17 +325,53 @@ impl Sweep for SweepConfig {
         ]
     }
 
-    /// The one prewarmed config every request submits.
-    fn points(&self) -> Result<Vec<PipelineConfig>, String> {
-        let fields = [
-            ("edge_factor", Json::Uint(self.edge_factor)),
-            ("seed", Json::Uint(self.seed)),
-        ];
-        point_configs(&[self.scale], &fields)
+    fn scales(&self) -> &[u32] {
+        std::slice::from_ref(&self.scale)
     }
 
-    fn run(&self) -> Result<Vec<SweepRow>, String> {
-        run_sweep(self)
+    /// Runs the full sweep: start a server (in-process or spawned), prewarm
+    /// the config, measure every open-loop rate, then every burst size, and
+    /// stop the server gracefully. Row order is deterministic: open rows in
+    /// rate order, then burst rows in size order. Every request submits
+    /// the one point's JSON object, which the driver has already checked.
+    fn run(&self, _points: &[PipelineConfig]) -> Result<Vec<SweepRow>, String> {
+        let server = if self.spawn {
+            start_spawned(self)?
+        } else {
+            start_in_process(self)?
+        };
+        let body = crate::table::point_json(self, self.scale);
+        prewarm(server.addr(), &body)?;
+
+        let load = |requests: usize, rate: f64| -> Result<LoadReport, String> {
+            run_load(&LoadConfig {
+                addr: server.addr().to_string(),
+                method: "POST".to_string(),
+                path: "/runs".to_string(),
+                body: body.clone(),
+                requests,
+                rate,
+                timeout: Duration::from_secs(30),
+                max_open: 16 * 1024,
+            })
+            .map_err(|e| format!("load run failed: {e}"))
+        };
+
+        let mut rows = Vec::new();
+        for &rate in &self.rates {
+            if rate <= 0.0 {
+                return Err(format!("open-loop rate must be positive, got {rate}"));
+            }
+            rows.push(to_row("open", rate, &load(self.requests, rate)?)?);
+        }
+        for &burst in &self.bursts {
+            if burst == 0 {
+                return Err("burst size must be positive".to_string());
+            }
+            rows.push(to_row("burst", 0.0, &load(burst, 0.0)?)?);
+        }
+        server.stop()?;
+        Ok(rows)
     }
 }
 
@@ -403,7 +395,7 @@ mod tests {
     #[test]
     fn sweep_measures_every_point_and_passes_its_own_schema_check() {
         let cfg = tiny_cfg();
-        let rows = run_sweep(&cfg).unwrap();
+        let rows = cfg.run(&crate::table::points(&cfg).unwrap()).unwrap();
         assert_eq!(rows.len(), 2, "one open row + one burst row");
         assert_eq!(rows[0].mode, "open");
         assert_eq!(rows[0].offered_rps, 400.0);

@@ -43,13 +43,6 @@ pub struct Rate {
     pub factor: f64,
 }
 
-impl Rate {
-    /// `key = size… / seconds · factor`.
-    pub const fn new(key: &'static str, size: &'static [&'static str], factor: f64) -> Self {
-        Rate { key, size, factor }
-    }
-}
-
 /// A measured sweep whose results form one `BENCH_*.json` trajectory.
 /// `Default` is the sweep its binary runs without flags.
 pub trait Sweep: Default {
@@ -64,36 +57,51 @@ pub trait Sweep: Default {
     const RATES: &'static [Rate];
 
     /// The document's config fields (everything but `benchmark` and
-    /// `results`).
+    /// `results`). Those named like a [`PipelineConfig::from_json`] key
+    /// are also the config of every sweep point ([`points`]).
     fn header(&self) -> Cells;
 
     /// One row's columns.
     fn cells(row: &Self::Row) -> Cells;
 
-    /// Every sweep point's pipeline config, built through
-    /// [`PipelineConfig::from_json`]; an error names the offending field.
-    fn points(&self) -> Result<Vec<PipelineConfig>, String>;
+    /// The graph scale of each sweep point.
+    fn scales(&self) -> &[u32];
 
-    /// Measures every point.
-    fn run(&self) -> Result<Vec<Self::Row>, String>;
+    /// Measures every point; `points` are this sweep's [`points`].
+    fn run(&self, points: &[PipelineConfig]) -> Result<Vec<Self::Row>, String>;
 }
 
-/// Builds the config of the sweep point at each of `scales` through the
+/// The config fields of the sweep point at `scale`: the header cells
+/// whose keys [`PipelineConfig::from_json`] accepts, and `scale`.
+fn point_cells<S: Sweep>(sweep: &S, scale: u32) -> Cells {
+    let accepted = PipelineConfig::builder().build().canonical_fields();
+    let mut cells: Cells = sweep
+        .header()
+        .into_iter()
+        .filter(|(key, _)| *key != "scale" && accepted.iter().any(|(k, _)| k == key))
+        .collect();
+    cells.push(("scale", Json::Uint(u64::from(scale))));
+    cells
+}
+
+/// The sweep point at `scale` as a JSON object, e.g. a `POST /runs` body.
+pub fn point_json<S: Sweep>(sweep: &S, scale: u32) -> String {
+    object(point_cells(sweep, scale)).render()
+}
+
+/// Every sweep point's config, built from [`point_cells`] through the
 /// pipeline's config codec ([`PipelineConfig::from_json`]), so a sweep
-/// accepts exactly the values a pipeline run accepts.
-pub(crate) fn point_configs(
-    scales: &[u32],
-    fields: &[(&str, Json)],
-) -> Result<Vec<PipelineConfig>, String> {
+/// accepts exactly the values a pipeline run accepts; an error names the
+/// offending field.
+pub fn points<S: Sweep>(sweep: &S) -> Result<Vec<PipelineConfig>, String> {
     let point = |scale: u32| {
-        let members = fields
-            .iter()
-            .map(|(key, value)| (key.to_string(), value.clone()))
-            .chain([("scale".to_string(), Json::Uint(u64::from(scale)))])
+        let members = point_cells(sweep, scale)
+            .into_iter()
+            .map(|(key, value)| (key.to_string(), value))
             .collect();
         PipelineConfig::from_json(&Json::Object(members)).map_err(|e| e.to_string())
     };
-    scales.iter().map(|&scale| point(scale)).collect()
+    sweep.scales().iter().map(|&scale| point(scale)).collect()
 }
 
 /// The cells as a JSON object (cells hold scalars only; anything else

@@ -1,8 +1,9 @@
 //! The five `BENCH_*.json` trajectories through the one table module:
 //! the renderer reproduces the per-sweep emitters it replaced byte for
 //! byte, the checker rejects drift in every sweep, the text table heads
-//! its columns with the row keys, and the committed trajectories pass
-//! their checks.
+//! its columns with the row keys, every sweep point's config is the
+//! header's config fields, and the committed trajectories pass their
+//! checks.
 
 use std::path::Path;
 
@@ -216,6 +217,45 @@ fn text_table_heads_its_columns_with_the_row_keys() {
         assert_eq!(header, rows[0].keys(), "{}", case.file);
         assert_eq!(lines.count(), 1, "{}: one line per row", case.file);
     }
+}
+
+#[test]
+fn sweep_points_carry_exactly_the_header_config_fields() {
+    let k3 = k3::SweepConfig {
+        scales: vec![6, 7],
+        edge_factor: 4,
+        seed: 9,
+        iterations: 3,
+        damping: 0.5,
+        ..Default::default()
+    };
+    let points = table::points(&k3).unwrap();
+    assert_eq!(points.len(), 2);
+    assert_eq!(points[1].spec.scale(), 7);
+    assert_eq!(points[1].spec.edge_factor(), 4);
+    assert_eq!((points[1].seed, points[1].iterations), (9, 3));
+    assert_eq!(points[1].damping, 0.5);
+
+    let k01 = k01::SweepConfig {
+        scales: vec![6],
+        num_files: 3,
+        ..Default::default()
+    };
+    assert_eq!(table::points(&k01).unwrap()[0].num_files, 3);
+
+    // servebench submits the point's object as its request body.
+    let serve = serve::SweepConfig {
+        scale: 7,
+        edge_factor: 4,
+        seed: 1,
+        workers: 3,
+        ..Default::default()
+    };
+    assert_eq!(
+        table::point_json(&serve, serve.scale),
+        r#"{"edge_factor":4,"scale":7,"seed":1}"#
+    );
+    assert_eq!(table::points(&serve).unwrap()[0].spec.scale(), 7);
 }
 
 #[test]
