@@ -6,7 +6,7 @@ use std::path::PathBuf;
 /// One finding, anchored to a source position.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Rule identifier (`panic`, `lock-order`, …).
+    /// Rule identifier (`lock-order`, `condvar-wait`, …).
     pub rule: &'static str,
     /// File the finding is in.
     pub path: PathBuf,
@@ -39,12 +39,15 @@ mod tests {
     #[test]
     fn renders_file_line_col_rule() {
         let d = Diagnostic {
-            rule: "panic",
+            rule: "lock-order",
             path: PathBuf::from("crates/x/src/lib.rs"),
             line: 3,
             col: 7,
             message: "no".into(),
         };
-        assert_eq!(d.to_string(), "crates/x/src/lib.rs:3:7: error[panic]: no");
+        assert_eq!(
+            d.to_string(),
+            "crates/x/src/lib.rs:3:7: error[lock-order]: no"
+        );
     }
 }

@@ -1,47 +1,23 @@
-//! The rule engine: runs every rule over a set of source files, applies
-//! waivers, aggregates the workspace-wide lock graph, and returns the
-//! surviving diagnostics sorted by position.
+//! The rule engine: runs every rule over a set of source files,
+//! aggregates the workspace-wide lock graph, and returns the diagnostics
+//! sorted by position.
 //!
-//! Two layers feed the rules: the token layer (the lexed code view every
-//! rule has always scanned) and the structure layer (delimiter match map,
-//! fn items, loop ranges — built once per file and shared by the
-//! structural rules).
-
-use std::collections::BTreeMap;
+//! Two layers feed the rules: the token layer (the lexed code view) and
+//! the structure layer (delimiter match map, fn items, loop ranges —
+//! built once per file and shared by the structural rules).
 
 use crate::diag::Diagnostic;
 use crate::parse::Structure;
 use crate::rules::{self, locks};
 use crate::source::SourceFile;
-use crate::waiver;
 
-/// Everything one analysis run produces: the surviving diagnostics plus
-/// the bookkeeping the ratchet baseline counts.
-pub struct Report {
-    /// Diagnostics that survived waivers, sorted by path, line, column.
-    pub diags: Vec<Diagnostic>,
-    /// Count of *used* waivers per rule (a waiver that suppressed at
-    /// least one finding). The baseline ratchets these downward.
-    pub used_waivers: BTreeMap<String, usize>,
-}
-
-/// Analyzes `files` and returns the surviving diagnostics.
+/// Analyzes `files` (already classified and lexed) and returns the
+/// diagnostics, sorted by path, line, column.
 pub fn analyze(files: &[SourceFile]) -> Vec<Diagnostic> {
-    analyze_report(files).diags
-}
-
-/// Analyzes `files` (already classified and lexed) and returns the full
-/// [`Report`].
-pub fn analyze_report(files: &[SourceFile]) -> Report {
     let mut diags = Vec::new();
     let mut edges = Vec::new();
-    let mut waivers = Vec::new();
 
     for file in files.iter().filter(|f| f.is_production()) {
-        waivers.extend(waiver::scan(file, rules::ALL_RULES, &mut diags));
-        rules::panics::check(file, &mut diags);
-        rules::determinism::check(file, &mut diags);
-        rules::hygiene::check(file, &mut diags);
         locks::check(file, &mut edges, &mut diags);
         // Structure layer: built once per production file and shared by
         // the structural rules.
@@ -52,26 +28,13 @@ pub fn analyze_report(files: &[SourceFile]) -> Report {
     }
     diags.extend(locks::cycles(&edges));
 
-    let (mut diags, used) = waiver::apply_tracking(diags, &waivers);
-    diags.extend(waiver::stale(&waivers, &used));
-
-    let mut used_waivers: BTreeMap<String, usize> = BTreeMap::new();
-    for (w, u) in waivers.iter().zip(&used) {
-        if *u {
-            *used_waivers.entry(w.rule.clone()).or_insert(0) += 1;
-        }
-    }
-
     diags.sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
     // Overlapping structural regions (e.g. nested parallel combinators)
     // can observe one site twice; identical findings collapse.
     diags.dedup_by(|a, b| {
         a.rule == b.rule && a.path == b.path && a.line == b.line && a.col == b.col
     });
-    Report {
-        diags,
-        used_waivers,
-    }
+    diags
 }
 
 #[cfg(test)]
@@ -80,21 +43,18 @@ mod tests {
     use crate::source::{FileKind, SourceFile};
     use std::path::PathBuf;
 
-    fn lib_file(path: &str, crate_name: &str, src: &str) -> SourceFile {
-        SourceFile::new(
-            PathBuf::from(path),
-            src.to_string(),
-            crate_name.into(),
-            FileKind::Lib,
-        )
+    fn lib_file(path: &str, src: &str) -> SourceFile {
+        SourceFile::new(PathBuf::from(path), src.to_string(), FileKind::Lib)
     }
+
+    const BARE_WAIT: &str =
+        "fn f(&self) { let s = self.m.lock(); let g = self.cv.wait(s); touch(g); }\n";
 
     #[test]
     fn test_like_files_are_skipped_entirely() {
         let f = SourceFile::new(
             PathBuf::from("crates/x/tests/t.rs"),
-            "fn f() { x.unwrap(); panic!(); }".into(),
-            "ppbench-core".into(),
+            BARE_WAIT.into(),
             FileKind::TestLike,
         );
         assert!(analyze(&[f]).is_empty());
@@ -104,13 +64,10 @@ mod tests {
     fn cross_file_lock_cycle_is_found() {
         let a = lib_file(
             "crates/serve/src/a.rs",
-            "ppbench-serve",
-            "#![forbid(unsafe_code)]\n\
-             fn f(&self) { let a = self.alpha.lock(); let b = self.beta.lock(); touch(a, b); }",
+            "fn f(&self) { let a = self.alpha.lock(); let b = self.beta.lock(); touch(a, b); }",
         );
         let b = lib_file(
             "crates/serve/src/b.rs",
-            "ppbench-serve",
             "fn g(&self) { let b = self.beta.lock(); let a = self.alpha.lock(); touch(a, b); }",
         );
         let diags = analyze(&[a, b]);
@@ -119,60 +76,17 @@ mod tests {
     }
 
     #[test]
-    fn waived_violation_is_suppressed() {
-        let f = lib_file(
-            "crates/core/src/x.rs",
-            "ppbench-core",
-            "fn f() {\n\
-             // ppbench: allow(panic, reason = \"init-time invariant, cannot fail\")\n\
-             x.unwrap();\n}\n",
-        );
-        let diags = analyze(&[f]);
-        assert!(diags.iter().all(|d| d.rule != "panic"), "{diags:?}");
-    }
-
-    #[test]
-    fn stale_waiver_surfaces_and_used_waivers_are_counted() {
-        let f = lib_file(
-            "crates/core/src/x.rs",
-            "ppbench-core",
-            "#![forbid(unsafe_code)]\n\
-             // ppbench: allow(panic, reason = \"sound\")\n\
-             x.unwrap();\n\
-             // ppbench: allow(panic, reason = \"nothing here panics\")\n\
-             safe();\n",
-        );
-        let report = analyze_report(&[f]);
-        let stale: Vec<_> = report
-            .diags
-            .iter()
-            .filter(|d| d.rule == "stale-waiver")
-            .collect();
-        assert_eq!(stale.len(), 1, "{:?}", report.diags);
-        assert_eq!(stale[0].line, 4);
-        assert_eq!(report.used_waivers.get("panic"), Some(&1));
-    }
-
-    #[test]
     fn structural_rules_run_through_the_engine() {
-        let f = lib_file(
-            "crates/serve/src/x.rs",
-            "ppbench-serve",
-            "fn f(&self) { let s = self.m.lock(); let g = self.cv.wait(s); touch(g); }",
-        );
+        let f = lib_file("crates/serve/src/x.rs", BARE_WAIT);
         let diags = analyze(&[f]);
         assert!(diags.iter().any(|d| d.rule == "condvar-wait"), "{diags:?}");
     }
 
     #[test]
     fn diagnostics_are_sorted() {
-        let f = lib_file(
-            "crates/core/src/x.rs",
-            "ppbench-core",
-            "fn f() { b.unwrap(); }\nfn g() { a.unwrap(); }\n",
-        );
+        let f = lib_file("crates/serve/src/x.rs", &format!("{BARE_WAIT}{BARE_WAIT}"));
         let diags = analyze(&[f]);
-        assert_eq!(diags.len(), 2);
+        assert_eq!(diags.len(), 2, "{diags:?}");
         assert!(diags[0].line < diags[1].line);
     }
 }

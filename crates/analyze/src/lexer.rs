@@ -1,15 +1,14 @@
 //! A hand-rolled, comment/string/lifetime-aware Rust lexer.
 //!
-//! The rules in this crate are lexical: they must never fire on the word
-//! `unwrap` inside a string literal or a doc comment, and they must not
-//! confuse the lifetime `'a` with the char literal `'a'`. A full parser
-//! would be overkill; a token stream that classifies those regions
-//! correctly is exactly enough. The lexer is lossless over code (every
-//! non-whitespace byte lands in some token) and keeps comments as tokens
-//! so the waiver scanner can read them.
+//! The rules in this crate are lexical: they must never fire on
+//! `.lock()` or `.wait(` inside a string literal or a doc comment, and
+//! they must not confuse the lifetime `'a` with the char literal `'a'`. A
+//! full parser would be overkill; a token stream that classifies those
+//! regions correctly is exactly enough. The lexer is lossless over code
+//! (every non-whitespace byte outside a comment lands in some token);
+//! comments, doc comments included, produce no tokens.
 
-/// What a token is. Comments are retained (waivers live in them); rules
-/// iterate over the non-comment view.
+/// What a code token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenKind {
     /// Identifier or keyword (`fn`, `unwrap`, `r#match` …).
@@ -22,16 +21,6 @@ pub enum TokenKind {
     StrLit,
     /// A numeric literal (integer or float, any base, with suffix).
     Number,
-    /// `// …` comment; `doc` is true for `///` and `//!` forms.
-    LineComment {
-        /// True for `///` and `//!` (rustdoc) comments.
-        doc: bool,
-    },
-    /// `/* … */` comment (nesting handled); `doc` for `/**` and `/*!`.
-    BlockComment {
-        /// True for `/**` and `/*!` (rustdoc) comments.
-        doc: bool,
-    },
     /// A single punctuation byte (`.`, `[`, `#`, …). Multi-byte operators
     /// arrive as consecutive `Punct` tokens, which is fine for our rules.
     Punct,
@@ -56,14 +45,6 @@ impl Token {
     /// The token's source text.
     pub fn text<'a>(&self, src: &'a str) -> &'a str {
         &src[self.start..self.end]
-    }
-
-    /// True for either comment kind.
-    pub fn is_comment(&self) -> bool {
-        matches!(
-            self.kind,
-            TokenKind::LineComment { .. } | TokenKind::BlockComment { .. }
-        )
     }
 }
 
@@ -182,6 +163,9 @@ pub fn lex(src: &str) -> Vec<Token> {
             cur.bump();
             continue;
         }
+        if skip_comment(&mut cur) {
+            continue;
+        }
         let (start, line, col) = (cur.pos, cur.line, cur.col);
         let kind = lex_one(&mut cur);
         tokens.push(Token {
@@ -195,37 +179,41 @@ pub fn lex(src: &str) -> Vec<Token> {
     tokens
 }
 
-/// Lexes exactly one token at the cursor (which is on a non-whitespace
-/// byte) and returns its kind.
-fn lex_one(cur: &mut Cursor<'_>) -> TokenKind {
-    let b = cur.peek(0);
-
-    // Comments.
-    if b == b'/' && cur.peek(1) == b'/' {
-        let doc = (cur.peek(2) == b'/' && cur.peek(3) != b'/') || cur.peek(2) == b'!';
+/// Consumes one comment at the cursor, if there is one. Nested block
+/// comments are matched to their own close.
+fn skip_comment(cur: &mut Cursor<'_>) -> bool {
+    if cur.peek(0) != b'/' {
+        return false;
+    }
+    if cur.peek(1) == b'/' {
         while cur.pos < cur.src.len() && cur.peek(0) != b'\n' {
             cur.bump();
         }
-        return TokenKind::LineComment { doc };
+        return true;
     }
-    if b == b'/' && cur.peek(1) == b'*' {
-        let doc = (cur.peek(2) == b'*' && cur.peek(3) != b'*' && cur.peek(3) != b'/')
-            || cur.peek(2) == b'!';
-        cur.bump_n(2);
-        let mut depth = 1usize;
-        while cur.pos < cur.src.len() && depth > 0 {
-            if cur.peek(0) == b'/' && cur.peek(1) == b'*' {
-                depth += 1;
-                cur.bump_n(2);
-            } else if cur.peek(0) == b'*' && cur.peek(1) == b'/' {
-                depth -= 1;
-                cur.bump_n(2);
-            } else {
-                cur.bump();
-            }
+    if cur.peek(1) != b'*' {
+        return false;
+    }
+    cur.bump_n(2);
+    let mut depth = 1usize;
+    while cur.pos < cur.src.len() && depth > 0 {
+        if cur.peek(0) == b'/' && cur.peek(1) == b'*' {
+            depth += 1;
+            cur.bump_n(2);
+        } else if cur.peek(0) == b'*' && cur.peek(1) == b'/' {
+            depth -= 1;
+            cur.bump_n(2);
+        } else {
+            cur.bump();
         }
-        return TokenKind::BlockComment { doc };
     }
+    true
+}
+
+/// Lexes exactly one token at the cursor (which is on a non-whitespace
+/// byte outside a comment) and returns its kind.
+fn lex_one(cur: &mut Cursor<'_>) -> TokenKind {
+    let b = cur.peek(0);
 
     // String-ish prefixes and raw identifiers. Handled before plain
     // idents so `r"…"`, `r#"…"#`, `b"…"`, `br#"…"#`, `b'x'`, `c"…"` and
@@ -415,22 +403,15 @@ mod tests {
     #[test]
     fn nested_block_comments_close_correctly() {
         let ts = kinds("/* a /* b */ c */ after");
-        assert_eq!(ts.len(), 2);
-        assert!(matches!(ts[0].0, TokenKind::BlockComment { .. }));
-        assert_eq!(ts[1].1, "after");
+        assert_eq!(ts.len(), 1);
+        assert_eq!(ts[0].1, "after");
     }
 
     #[test]
-    fn doc_comment_flags() {
-        let ts = lex("/// doc\n//! doc\n// plain\n//// not-doc\n/** doc */ /* plain */");
-        let docs: Vec<bool> = ts
-            .iter()
-            .map(|t| match t.kind {
-                TokenKind::LineComment { doc } | TokenKind::BlockComment { doc } => doc,
-                _ => panic!("only comments here"),
-            })
-            .collect();
-        assert_eq!(docs, [true, true, false, false, true, false]);
+    fn comments_of_every_form_produce_no_tokens() {
+        let ts = kinds("/// doc\n//! doc\n// x.lock()\n/** doc */ /* m.lock() */ after");
+        assert_eq!(ts.len(), 1, "{ts:?}");
+        assert_eq!((ts[0].0, ts[0].1.as_str()), (TokenKind::Ident, "after"));
     }
 
     #[test]

@@ -1,33 +1,24 @@
 //! CLI for `ppbench-analyze`.
 //!
 //! ```text
-//! ppbench-analyze [--workspace] [--root DIR] [--deny-all]
-//!                 [--allow RULE]... [--format text|sarif] [--out FILE]
-//!                 [--baseline FILE] [--check-baseline] [--write-baseline]
-//!                 [--list-rules] [PATH]...
+//! ppbench-analyze [--workspace] [--root DIR] [--format text|sarif]
+//!                 [--out FILE] [--list-rules] [PATH]...
 //! ```
 //!
-//! Exit codes: 0 clean, 1 violations or baseline regression, 2 usage or
-//! I/O error.
+//! Exit codes: 0 clean, 1 violations, 2 usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ppbench_analyze::baseline::Baseline;
-use ppbench_analyze::rules::{severity_of, Severity, ALL_RULES, RULE_DESCRIPTIONS};
+use ppbench_analyze::rules::RULES;
 use ppbench_analyze::{engine, sarif, walk};
 
 struct Options {
     workspace: bool,
     root: Option<PathBuf>,
-    deny_all: bool,
-    allow: Vec<String>,
     list_rules: bool,
     format: Format,
     out: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    check_baseline: bool,
-    write_baseline: bool,
     paths: Vec<PathBuf>,
 }
 
@@ -37,23 +28,14 @@ enum Format {
     Sarif,
 }
 
-const BASELINE_FILE: &str = "ANALYZE_BASELINE.json";
-
 fn usage(to_stderr: bool) {
-    let text = "usage: ppbench-analyze [--workspace] [--root DIR] [--deny-all]\n\
-                \x20                      [--allow RULE]... [--format text|sarif] [--out FILE]\n\
-                \x20                      [--baseline FILE] [--check-baseline] [--write-baseline]\n\
-                \x20                      [--list-rules] [PATH]...\n\
+    let text = "usage: ppbench-analyze [--workspace] [--root DIR] [--format text|sarif]\n\
+                \x20                      [--out FILE] [--list-rules] [PATH]...\n\
                 \n\
                 --workspace       scan the whole workspace (default when no PATH given)\n\
                 --root DIR        workspace root (default: discovered from the cwd)\n\
-                --deny-all        every rule is an error regardless of --allow (CI mode)\n\
-                --allow RULE      report RULE findings as warnings, not errors\n\
                 --format FMT      output format: text (default) or sarif\n\
                 --out FILE        write the report to FILE instead of stdout\n\
-                --baseline FILE   ratchet file (default: <root>/ANALYZE_BASELINE.json)\n\
-                --check-baseline  fail if waiver/warning counts grew past the baseline\n\
-                --write-baseline  rewrite the baseline from the current counts\n\
                 --list-rules      print the rule catalogue and exit\n";
     if to_stderr {
         eprint!("{text}");
@@ -66,14 +48,9 @@ fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         workspace: false,
         root: None,
-        deny_all: false,
-        allow: Vec::new(),
         list_rules: false,
         format: Format::Text,
         out: None,
-        baseline: None,
-        check_baseline: false,
-        write_baseline: false,
         paths: Vec::new(),
     };
     let mut argv = std::env::args().skip(1);
@@ -83,14 +60,6 @@ fn parse_args() -> Result<Options, String> {
             "--root" => {
                 let v = argv.next().ok_or("--root needs a directory")?;
                 opts.root = Some(PathBuf::from(v));
-            }
-            "--deny-all" => opts.deny_all = true,
-            "--allow" => {
-                let v = argv.next().ok_or("--allow needs a rule name")?;
-                if !ALL_RULES.contains(&v.as_str()) {
-                    return Err(format!("unknown rule `{v}` (see --list-rules)"));
-                }
-                opts.allow.push(v);
             }
             "--format" => {
                 let v = argv.next().ok_or("--format needs `text` or `sarif`")?;
@@ -104,12 +73,6 @@ fn parse_args() -> Result<Options, String> {
                 let v = argv.next().ok_or("--out needs a file path")?;
                 opts.out = Some(PathBuf::from(v));
             }
-            "--baseline" => {
-                let v = argv.next().ok_or("--baseline needs a file path")?;
-                opts.baseline = Some(PathBuf::from(v));
-            }
-            "--check-baseline" => opts.check_baseline = true,
-            "--write-baseline" => opts.write_baseline = true,
             "--list-rules" => opts.list_rules = true,
             "--help" | "-h" => {
                 usage(false);
@@ -123,9 +86,6 @@ fn parse_args() -> Result<Options, String> {
     }
     if !opts.workspace && opts.paths.is_empty() {
         opts.workspace = true;
-    }
-    if opts.check_baseline && opts.write_baseline {
-        return Err("--check-baseline and --write-baseline are mutually exclusive".into());
     }
     Ok(opts)
 }
@@ -153,17 +113,14 @@ fn main() -> ExitCode {
     };
 
     if opts.list_rules {
-        for (rule, desc) in RULE_DESCRIPTIONS {
-            println!("{} {rule:<18} {desc}", severity_of(rule).label());
+        for (rule, desc) in RULES {
+            println!("{rule:<18} {desc}");
         }
         return ExitCode::SUCCESS;
     }
 
     let mut files = Vec::new();
-    // The workspace root doubles as the default baseline location, so the
-    // ratchet flags need it resolved even for explicit-path runs.
-    let mut baseline_path = opts.baseline.clone();
-    if opts.workspace || (baseline_path.is_none() && (opts.check_baseline || opts.write_baseline)) {
+    if opts.workspace {
         let root = match opts.root.clone().map(Ok).unwrap_or_else(|| {
             std::env::current_dir().and_then(|cwd| walk::find_workspace_root(&cwd))
         }) {
@@ -173,16 +130,11 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        if baseline_path.is_none() {
-            baseline_path = Some(root.join(BASELINE_FILE));
-        }
-        if opts.workspace {
-            match walk::load_workspace(&root) {
-                Ok(fs) => files.extend(fs),
-                Err(e) => {
-                    eprintln!("ppbench-analyze: reading workspace: {e}");
-                    return ExitCode::from(2);
-                }
+        match walk::load_workspace(&root) {
+            Ok(fs) => files.extend(fs),
+            Err(e) => {
+                eprintln!("ppbench-analyze: reading workspace: {e}");
+                return ExitCode::from(2);
             }
         }
     }
@@ -196,90 +148,29 @@ fn main() -> ExitCode {
         }
     }
 
-    let report = engine::analyze_report(&files);
-    let demoted = |rule: &str| {
-        severity_of(rule) == Severity::Warning
-            || (!opts.deny_all && opts.allow.iter().any(|a| a == rule))
-    };
-
-    if opts.format == Format::Sarif {
-        if let Err(e) = emit(&opts, &sarif::render(&report.diags)) {
-            eprintln!("ppbench-analyze: {e}");
-            return ExitCode::from(2);
-        }
-    }
-
-    let mut errors = 0usize;
-    let mut warnings = 0usize;
-    let mut current = Baseline {
-        waivers: report.used_waivers.clone(),
-        warnings: Default::default(),
-    };
-    let mut text = String::new();
-    for d in &report.diags {
-        if demoted(d.rule) {
-            warnings += 1;
-            *current.warnings.entry(d.rule.to_string()).or_insert(0) += 1;
-            text.push_str(&format!(
-                "{}:{}:{}: warning[{}]: {}\n",
-                d.path.display(),
-                d.line,
-                d.col,
-                d.rule,
-                d.message
-            ));
-        } else {
-            errors += 1;
-            text.push_str(&format!("{d}\n"));
-        }
-    }
+    let diags = engine::analyze(&files);
+    let mut text: String = diags.iter().map(|d| format!("{d}\n")).collect();
     text.push_str(&format!(
-        "ppbench-analyze: {} file(s) scanned, {errors} error(s), {warnings} warning(s)\n",
-        files.len()
+        "ppbench-analyze: {} file(s) scanned, {} error(s)\n",
+        files.len(),
+        diags.len()
     ));
-    if opts.format == Format::Text {
-        if let Err(e) = emit(&opts, &text) {
-            eprintln!("ppbench-analyze: {e}");
-            return ExitCode::from(2);
-        }
-    } else {
-        // SARIF went to --out/stdout; keep the human summary on stderr.
-        eprint!("{text}");
+    let (report, summary) = match opts.format {
+        Format::Text => (text, None),
+        // SARIF goes to --out/stdout; the human summary goes to stderr.
+        Format::Sarif => (sarif::render(&diags), Some(text)),
+    };
+    if let Err(e) = emit(&opts, &report) {
+        eprintln!("ppbench-analyze: {e}");
+        return ExitCode::from(2);
+    }
+    if let Some(summary) = summary {
+        eprint!("{summary}");
     }
 
-    let mut ratchet_failed = false;
-    if let (true, Some(path)) = (opts.check_baseline || opts.write_baseline, baseline_path) {
-        if opts.write_baseline {
-            if let Err(e) = std::fs::write(&path, current.render()) {
-                eprintln!("ppbench-analyze: writing {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-            eprintln!("ppbench-analyze: wrote baseline to {}", path.display());
-        } else {
-            let committed = match std::fs::read_to_string(&path)
-                .map_err(|e| format!("reading {}: {e}", path.display()))
-                .and_then(|t| Baseline::parse(&t))
-            {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("ppbench-analyze: {e} (create one with --write-baseline)");
-                    return ExitCode::from(2);
-                }
-            };
-            let (regressions, improvements) = committed.compare(&current);
-            for msg in &regressions {
-                eprintln!("ppbench-analyze: baseline regression: {msg}");
-            }
-            for msg in &improvements {
-                eprintln!("ppbench-analyze: baseline: {msg}");
-            }
-            ratchet_failed = !regressions.is_empty();
-        }
-    }
-
-    if errors > 0 || ratchet_failed {
-        ExitCode::FAILURE
-    } else {
+    if diags.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

@@ -209,7 +209,6 @@ mod tests {
         SourceFile::new(
             PathBuf::from("crates/x/src/parse_fixture.rs"),
             src.to_string(),
-            "x".into(),
             FileKind::Lib,
         )
     }

@@ -92,7 +92,6 @@ mod tests {
         let f = SourceFile::new(
             PathBuf::from("crates/x/src/lib.rs"),
             src.to_string(),
-            "ppbench-serve".into(),
             FileKind::Lib,
         );
         let s = Structure::build(&f);

@@ -16,8 +16,8 @@
 //!   thread with the outer guard held, wedging everyone queued on it.
 //!
 //! This is deliberately approximate (no types, no inter-procedural guard
-//! flow); the waiver mechanism absorbs the rare false positive, and the
-//! unit tests pin down the idioms the serving crates actually use.
+//! flow); the unit tests pin down the idioms the serving crates actually
+//! use, and a false positive is fixed here rather than excused.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -282,7 +282,6 @@ mod tests {
         let f = SourceFile::new(
             PathBuf::from("crates/x/src/lib.rs"),
             src.to_string(),
-            "ppbench-serve".into(),
             FileKind::Lib,
         );
         let mut edges = Vec::new();

@@ -5,11 +5,12 @@
 //!
 //! Hand-written against the subset of the spec the code-scanning ingester
 //! requires: one run, a tool driver with the rule catalogue, and one
-//! result per diagnostic with a physical location. std-only, like
+//! result per diagnostic with a physical location. Every rule is an
+//! error, so every result carries level `error`. std-only, like
 //! everything else in this crate.
 
 use crate::diag::Diagnostic;
-use crate::rules::{severity_of, RULE_DESCRIPTIONS};
+use crate::rules::RULES;
 
 /// Renders `diags` as a complete SARIF 2.1.0 document.
 pub fn render(diags: &[Diagnostic]) -> String {
@@ -19,16 +20,15 @@ pub fn render(diags: &[Diagnostic]) -> String {
     out.push_str("\"name\":\"ppbench-analyze\",");
     out.push_str("\"informationUri\":\"https://github.com/ppbench/ppbench\",");
     out.push_str("\"rules\":[");
-    for (i, (rule, desc)) in RULE_DESCRIPTIONS.iter().enumerate() {
+    for (i, (rule, desc)) in RULES.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str(&format!(
             "{{\"id\":{},\"shortDescription\":{{\"text\":{}}},\
-             \"defaultConfiguration\":{{\"level\":{}}}}}",
+             \"defaultConfiguration\":{{\"level\":\"error\"}}}}",
             escape(rule),
             escape(desc),
-            escape(severity_of(rule).label()),
         ));
     }
     out.push_str("]}},\"results\":[");
@@ -42,12 +42,11 @@ pub fn render(diags: &[Diagnostic]) -> String {
             .to_string_lossy()
             .replace(std::path::MAIN_SEPARATOR, "/");
         out.push_str(&format!(
-            "{{\"ruleId\":{},\"level\":{},\"message\":{{\"text\":{}}},\
+            "{{\"ruleId\":{},\"level\":\"error\",\"message\":{{\"text\":{}}},\
              \"locations\":[{{\"physicalLocation\":{{\
              \"artifactLocation\":{{\"uri\":{}}},\
              \"region\":{{\"startLine\":{},\"startColumn\":{}}}}}}}]}}",
             escape(d.rule),
-            escape(severity_of(d.rule).label()),
             escape(&d.message),
             escape(&uri),
             d.line,
@@ -95,26 +94,26 @@ mod tests {
     #[test]
     fn document_shape_and_required_fields() {
         let s = render(&[
-            diag("panic", "no unwraps"),
+            diag("lock-order", "cycle"),
             diag("shared-accumulator", "fs"),
         ]);
         assert!(s.contains("\"version\":\"2.1.0\""));
         assert!(s.contains("\"name\":\"ppbench-analyze\""));
-        assert!(s.contains("\"ruleId\":\"panic\""));
         assert!(s.contains("\"startLine\":3"));
         assert!(s.contains("\"uri\":\"crates/x/src/lib.rs\""));
-        // Severity mapping: heuristic rules report as warnings.
-        assert!(s.contains("{\"ruleId\":\"shared-accumulator\",\"level\":\"warning\""));
-        assert!(s.contains("{\"ruleId\":\"panic\",\"level\":\"error\""));
+        // Every rule is an error, the heuristic one included.
+        assert!(s.contains("{\"ruleId\":\"shared-accumulator\",\"level\":\"error\""));
+        assert!(s.contains("{\"ruleId\":\"lock-order\",\"level\":\"error\""));
+        assert!(!s.contains("warning"));
         // Every rule in the catalogue is declared to the ingester.
-        for (rule, _) in RULE_DESCRIPTIONS {
+        for (rule, _) in RULES {
             assert!(s.contains(&format!("\"id\":\"{rule}\"")), "missing {rule}");
         }
     }
 
     #[test]
     fn messages_are_escaped() {
-        let s = render(&[diag("panic", "say \"no\" to\nbackslash \\ panics")]);
+        let s = render(&[diag("lock-order", "say \"no\" to\nbackslash \\ panics")]);
         assert!(s.contains(r#"say \"no\" to\nbackslash \\ panics"#));
     }
 
@@ -128,7 +127,7 @@ mod tests {
     #[test]
     fn renders_parseable_nesting() {
         // Cheap structural sanity: braces and brackets balance.
-        let s = render(&[diag("panic", "x")]);
+        let s = render(&[diag("lock-order", "x")]);
         let mut depth = 0i64;
         for b in s.bytes() {
             match b {

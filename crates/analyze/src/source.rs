@@ -26,50 +26,32 @@ pub struct SourceFile {
     pub path: PathBuf,
     /// Full source text.
     pub text: String,
-    /// Crate (package) name, e.g. `ppbench-serve`.
-    pub crate_name: String,
     /// Production-surface classification.
     pub kind: FileKind,
-    /// True for the crate root (`src/lib.rs`), where the hygiene rule
-    /// requires `#![forbid(unsafe_code)]`.
-    pub is_crate_root: bool,
-    /// Every token, comments included.
+    /// The code tokens (comments produce none) — the view rules scan.
     pub tokens: Vec<Token>,
-    /// Indices into `tokens` of non-comment tokens — the view rules scan.
-    pub code: Vec<usize>,
-    /// Half-open ranges over `code` positions that sit inside a
+    /// Half-open ranges over token positions that sit inside a
     /// `#[cfg(test)] mod … { … }` block and are exempt from all rules.
     test_ranges: Vec<(usize, usize)>,
 }
 
 impl SourceFile {
     /// Lexes and indexes `text`.
-    pub fn new(path: PathBuf, text: String, crate_name: String, kind: FileKind) -> Self {
-        let is_crate_root = path.ends_with("src/lib.rs");
+    pub fn new(path: PathBuf, text: String, kind: FileKind) -> Self {
         let tokens = lex(&text);
-        let code: Vec<usize> = tokens
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| !t.is_comment())
-            .map(|(i, _)| i)
-            .collect();
-        let test_ranges = find_test_ranges(&text, &tokens, &code);
+        let test_ranges = find_test_ranges(&text, &tokens);
         Self {
             path,
             text,
-            crate_name,
             kind,
-            is_crate_root,
             tokens,
-            code,
             test_ranges,
         }
     }
 
-    /// The `i`-th code token (panic-free: returns a zero token only if
-    /// indexes are misused, which the unit tests pin down).
+    /// The `i`-th code token.
     pub fn code_token(&self, i: usize) -> &Token {
-        &self.tokens[self.code[i]]
+        &self.tokens[i]
     }
 
     /// Text of the `i`-th code token.
@@ -79,7 +61,7 @@ impl SourceFile {
 
     /// Number of code tokens.
     pub fn code_len(&self) -> usize {
-        self.code.len()
+        self.tokens.len()
     }
 
     /// True when code-token position `i` lies inside a `#[cfg(test)]`
@@ -110,45 +92,45 @@ pub fn classify(rel: &Path) -> FileKind {
     FileKind::Lib
 }
 
-/// Finds `code`-index ranges covered by `#[cfg(test)] mod name { … }`
+/// Finds token-index ranges covered by `#[cfg(test)] mod name { … }`
 /// (and `#[cfg(any(test, …))]` etc. — any cfg attribute that mentions the
 /// bare ident `test`). Attributes and visibility modifiers (`pub`,
 /// `pub(crate)`) between the cfg and the `mod` keyword are tolerated.
-fn find_test_ranges(text: &str, tokens: &[Token], code: &[usize]) -> Vec<(usize, usize)> {
-    let t = |i: usize| -> &str { tokens[code[i]].text(text) };
+fn find_test_ranges(text: &str, tokens: &[Token]) -> Vec<(usize, usize)> {
+    let t = |i: usize| -> &str { tokens[i].text(text) };
     let mut ranges = Vec::new();
     let mut i = 0;
-    while i < code.len() {
+    while i < tokens.len() {
         // `#` `[` `cfg` `(` … `test` … `)` `]`
-        if t(i) == "#" && i + 3 < code.len() && t(i + 1) == "[" && t(i + 2) == "cfg" {
-            if let Some(close) = matching(code, tokens, text, i + 1, "[", "]") {
+        if t(i) == "#" && i + 3 < tokens.len() && t(i + 1) == "[" && t(i + 2) == "cfg" {
+            if let Some(close) = matching(tokens, text, i + 1, "[", "]") {
                 let mentions_test = (i + 2..close).any(|j| t(j) == "test");
                 if mentions_test {
                     // Skip any further attributes and a visibility
                     // modifier, then expect `mod`.
                     let mut j = close + 1;
-                    while j < code.len() && t(j) == "#" {
-                        match matching(code, tokens, text, j + 1, "[", "]") {
+                    while j < tokens.len() && t(j) == "#" {
+                        match matching(tokens, text, j + 1, "[", "]") {
                             Some(c) => j = c + 1,
                             None => break,
                         }
                     }
-                    if j < code.len() && t(j) == "pub" {
+                    if j < tokens.len() && t(j) == "pub" {
                         j += 1;
-                        if j < code.len() && t(j) == "(" {
-                            if let Some(c) = matching(code, tokens, text, j, "(", ")") {
+                        if j < tokens.len() && t(j) == "(" {
+                            if let Some(c) = matching(tokens, text, j, "(", ")") {
                                 j = c + 1;
                             }
                         }
                     }
-                    if j + 1 < code.len() && t(j) == "mod" {
+                    if j + 1 < tokens.len() && t(j) == "mod" {
                         // `mod name {` — find the brace and its match.
                         let mut k = j + 1;
-                        while k < code.len() && t(k) != "{" && t(k) != ";" {
+                        while k < tokens.len() && t(k) != "{" && t(k) != ";" {
                             k += 1;
                         }
-                        if k < code.len() && t(k) == "{" {
-                            if let Some(end) = matching(code, tokens, text, k, "{", "}") {
+                        if k < tokens.len() && t(k) == "{" {
+                            if let Some(end) = matching(tokens, text, k, "{", "}") {
                                 ranges.push((i, end + 1));
                                 i = end + 1;
                                 continue;
@@ -165,22 +147,15 @@ fn find_test_ranges(text: &str, tokens: &[Token], code: &[usize]) -> Vec<(usize,
     ranges
 }
 
-/// Index of the token matching the `open` delimiter at code position
-/// `start` (which must hold `open`), or `None` if unbalanced.
-fn matching(
-    code: &[usize],
-    tokens: &[Token],
-    text: &str,
-    start: usize,
-    open: &str,
-    close: &str,
-) -> Option<usize> {
-    let t = |i: usize| -> &str { tokens[code[i]].text(text) };
-    if start >= code.len() || t(start) != open {
+/// Index of the token matching the `open` delimiter at position `start`
+/// (which must hold `open`), or `None` if unbalanced.
+fn matching(tokens: &[Token], text: &str, start: usize, open: &str, close: &str) -> Option<usize> {
+    let t = |i: usize| -> &str { tokens[i].text(text) };
+    if start >= tokens.len() || t(start) != open {
         return None;
     }
     let mut depth = 0usize;
-    for i in start..code.len() {
+    for i in start..tokens.len() {
         let s = t(i);
         if s == open {
             depth += 1;
@@ -202,7 +177,6 @@ mod tests {
         SourceFile::new(
             PathBuf::from("crates/x/src/lib.rs"),
             src.to_string(),
-            "x".into(),
             FileKind::Lib,
         )
     }
@@ -269,18 +243,5 @@ mod tests {
         assert_eq!(classify(Path::new("benches/b.rs")), FileKind::TestLike);
         assert_eq!(classify(Path::new("examples/e.rs")), FileKind::TestLike);
         assert_eq!(classify(Path::new("build.rs")), FileKind::TestLike);
-    }
-
-    #[test]
-    fn crate_root_detection() {
-        let f = file("fn x() {}");
-        assert!(f.is_crate_root);
-        let g = SourceFile::new(
-            PathBuf::from("crates/x/src/other.rs"),
-            String::new(),
-            "x".into(),
-            FileKind::Lib,
-        );
-        assert!(!g.is_crate_root);
     }
 }

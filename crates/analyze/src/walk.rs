@@ -33,33 +33,6 @@ pub fn find_workspace_root(start: &Path) -> io::Result<PathBuf> {
     }
 }
 
-/// Package name from a crate directory's `Cargo.toml` (first `name =`
-/// line), falling back to the directory name.
-fn package_name(crate_dir: &Path) -> String {
-    let fallback = || {
-        crate_dir
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "unknown".into())
-    };
-    let Ok(text) = fs::read_to_string(crate_dir.join("Cargo.toml")) else {
-        return fallback();
-    };
-    for line in text.lines() {
-        let line = line.trim();
-        if let Some(rest) = line.strip_prefix("name") {
-            let rest = rest.trim_start();
-            if let Some(value) = rest.strip_prefix('=') {
-                let value = value.trim().trim_matches('"');
-                if !value.is_empty() {
-                    return value.to_string();
-                }
-            }
-        }
-    }
-    fallback()
-}
-
 /// Loads every production-relevant `.rs` file in the workspace. Paths in
 /// the returned files are workspace-relative (for stable diagnostics).
 pub fn load_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
@@ -87,7 +60,6 @@ fn load_crate(root: &Path, crate_dir: &Path, files: &mut Vec<SourceFile>) -> io:
     if !src.is_dir() {
         return Ok(());
     }
-    let name = package_name(crate_dir);
     let mut paths = Vec::new();
     collect_rs(&src, &mut paths)?;
     paths.sort();
@@ -99,7 +71,7 @@ fn load_crate(root: &Path, crate_dir: &Path, files: &mut Vec<SourceFile>) -> io:
         }
         let rel_to_root = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
         let text = fs::read_to_string(&path)?;
-        files.push(SourceFile::new(rel_to_root, text, name.clone(), kind));
+        files.push(SourceFile::new(rel_to_root, text, kind));
     }
     Ok(())
 }
@@ -124,9 +96,8 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Loads explicitly named files or directories (classified by their path
-/// shape, crate name derived from the nearest `crates/<name>` component
-/// when present).
+/// Loads explicitly named files or directories, classified by their
+/// path shape.
 pub fn load_paths(paths: &[PathBuf]) -> io::Result<Vec<SourceFile>> {
     let mut files = Vec::new();
     for path in paths {
@@ -146,18 +117,7 @@ pub fn load_paths(paths: &[PathBuf]) -> io::Result<Vec<SourceFile>> {
 
 fn load_one(path: &Path) -> io::Result<SourceFile> {
     let text = fs::read_to_string(path)?;
-    // Derive a crate name: the path component after `crates`, run through
-    // Cargo.toml when available.
-    let comps: Vec<&std::ffi::OsStr> = path.iter().collect();
-    let crate_name = match comps.iter().position(|c| *c == "crates") {
-        Some(i) if i + 1 < comps.len() => {
-            let dir: PathBuf = comps[..=i + 1].iter().collect();
-            package_name(&dir)
-        }
-        _ => "ppbench".into(),
-    };
-    let kind = classify(path);
-    Ok(SourceFile::new(path.to_path_buf(), text, crate_name, kind))
+    Ok(SourceFile::new(path.to_path_buf(), text, classify(path)))
 }
 
 #[cfg(test)]
@@ -184,17 +144,11 @@ mod tests {
             assert!(!p.contains("/tests/"), "tests excluded: {p}");
         }
         assert!(
-            files.iter().any(|f| f.crate_name == "ppbench-analyze"),
+            files
+                .iter()
+                .any(|f| f.path.starts_with("crates/analyze/src")),
             "the analyzer scans itself"
         );
-        assert!(files.iter().any(|f| f.crate_name == "ppbench"));
-    }
-
-    #[test]
-    fn package_names_come_from_manifests() {
-        let cwd = std::env::current_dir().expect("cwd");
-        let root = find_workspace_root(&cwd).expect("workspace root");
-        assert_eq!(package_name(&root.join("crates/core")), "ppbench-core");
-        assert_eq!(package_name(&root), "ppbench");
+        assert!(files.iter().any(|f| f.path == Path::new("src/lib.rs")));
     }
 }

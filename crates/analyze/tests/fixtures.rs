@@ -1,22 +1,20 @@
 //! End-to-end fixture tests: each file under `tests/fixtures/` is fed
 //! through the real lexer + rule engine exactly as `ppbench-analyze`
-//! would see it, with a synthetic path/crate so the crate-scoped rules
-//! fire the way they do in the workspace scan.
+//! would see it, under a synthetic workspace path.
 
 use std::path::PathBuf;
 
 use ppbench_analyze::engine::analyze;
-use ppbench_analyze::rules::{severity_of, Severity};
 use ppbench_analyze::source::{FileKind, SourceFile};
 
-/// Loads one fixture as if it lived at `synthetic_path` inside `krate`.
-fn fixture(name: &str, synthetic_path: &str, krate: &str, kind: FileKind) -> SourceFile {
+/// Loads one fixture as if it lived at `synthetic_path`.
+fn fixture(name: &str, synthetic_path: &str, kind: FileKind) -> SourceFile {
     let on_disk = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
         .join(name);
     let text = std::fs::read_to_string(&on_disk)
         .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", on_disk.display()));
-    SourceFile::new(PathBuf::from(synthetic_path), text, krate.into(), kind)
+    SourceFile::new(PathBuf::from(synthetic_path), text, kind)
 }
 
 /// Rule ids of the diagnostics, in report order.
@@ -29,116 +27,21 @@ fn count(rules: &[&str], rule: &str) -> usize {
 }
 
 #[test]
-fn panic_fixture_flags_the_whole_family() {
-    let f = fixture(
-        "panic_unwrap.rs",
-        "crates/core/src/panic_unwrap.rs",
-        "ppbench-core",
-        FileKind::Lib,
-    );
-    let rules = rules_of(&[f]);
-    assert_eq!(
-        count(&rules, "panic"),
-        5,
-        "unwrap, expect, panic!, todo!, unimplemented!: {rules:?}"
-    );
-    assert!(rules.iter().all(|r| *r == "panic"), "{rules:?}");
-}
-
-#[test]
-fn indexing_fixture_flags_serving_crates_only() {
-    let serve = fixture(
-        "indexing.rs",
-        "crates/serve/src/indexing.rs",
-        "ppbench-serve",
-        FileKind::Lib,
-    );
-    let rules = rules_of(&[serve]);
-    assert_eq!(
-        count(&rules, "indexing"),
-        2,
-        "v[i] and make()[0]: {rules:?}"
-    );
-
-    // The identical source in a kernel crate is idiomatic and clean.
-    let core = fixture(
-        "indexing.rs",
-        "crates/core/src/indexing.rs",
-        "ppbench-core",
-        FileKind::Lib,
-    );
-    assert!(rules_of(&[core]).is_empty());
-}
-
-#[test]
-fn time_source_fixture_flags_clock_reads() {
-    let f = fixture(
-        "time_source.rs",
-        "crates/core/src/time_source.rs",
-        "ppbench-core",
-        FileKind::Lib,
-    );
-    let rules = rules_of(&[f]);
-    assert!(count(&rules, "time-source") >= 2, "{rules:?}");
-    assert!(rules.iter().all(|r| *r == "time-source"), "{rules:?}");
-
-    // The same source is sanctioned when it IS the timing module.
-    let timing = fixture(
-        "time_source.rs",
-        "crates/core/src/timing.rs",
-        "ppbench-core",
-        FileKind::Lib,
-    );
-    assert!(rules_of(&[timing]).is_empty());
-}
-
-#[test]
-fn hash_iteration_fixture_flags_randomized_containers() {
-    let f = fixture(
-        "hash_iteration.rs",
-        "crates/serve/src/hash_iteration.rs",
-        "ppbench-serve",
-        FileKind::Lib,
-    );
-    let rules = rules_of(&[f]);
-    assert!(count(&rules, "hash-iteration") >= 2, "{rules:?}");
-    assert!(rules.iter().all(|r| *r == "hash-iteration"), "{rules:?}");
-}
-
-#[test]
-fn env_dependence_fixture_flags_machine_inputs() {
-    let f = fixture(
-        "env_dependence.rs",
-        "crates/core/src/env_dependence.rs",
-        "ppbench-core",
-        FileKind::Lib,
-    );
-    let rules = rules_of(&[f]);
-    assert!(
-        count(&rules, "env-dependence") >= 2,
-        "env::var and available_parallelism: {rules:?}"
-    );
-}
-
-#[test]
 fn lock_order_cycle_spans_files() {
     let a = fixture(
         "lock_order_a.rs",
         "crates/serve/src/lock_order_a.rs",
-        "ppbench-serve",
         FileKind::Lib,
     );
     let b = fixture(
         "lock_order_b.rs",
         "crates/serve/src/lock_order_b.rs",
-        "ppbench-serve",
         FileKind::Lib,
     );
     // Each file alone is a consistent order — no cycle, no finding.
     assert!(rules_of(&[fixture(
         "lock_order_a.rs",
         "crates/serve/src/lock_order_a.rs",
-        "ppbench-serve",
         FileKind::Lib,
     )])
     .is_empty());
@@ -153,99 +56,26 @@ fn lock_panic_fixture_flags_unwrap_under_held_lock() {
     let f = fixture(
         "lock_panic.rs",
         "crates/serve/src/lock_panic.rs",
-        "ppbench-serve",
         FileKind::Lib,
     );
     let rules = rules_of(&[f]);
-    assert_eq!(count(&rules, "lock-panic"), 1, "{rules:?}");
-    // The `.unwrap()` itself is independently a panic finding.
-    assert_eq!(count(&rules, "panic"), 1, "{rules:?}");
-}
-
-#[test]
-fn crate_root_without_forbid_unsafe_is_flagged() {
-    let f = fixture(
-        "missing_forbid_unsafe.rs",
-        "crates/fixture/src/lib.rs",
-        "ppbench-fixture",
-        FileKind::Lib,
-    );
-    let rules = rules_of(&[f]);
-    assert_eq!(rules, vec!["forbid-unsafe"]);
-
-    // The same text off the crate root carries no obligation.
-    let inner = fixture(
-        "missing_forbid_unsafe.rs",
-        "crates/fixture/src/inner.rs",
-        "ppbench-fixture",
-        FileKind::Lib,
-    );
-    assert!(rules_of(&[inner]).is_empty());
-}
-
-#[test]
-fn discarded_result_fixture_flags_let_underscore() {
-    let f = fixture(
-        "discarded_result.rs",
-        "crates/core/src/discarded.rs",
-        "ppbench-core",
-        FileKind::Lib,
-    );
-    assert_eq!(rules_of(&[f]), vec!["discarded-result"]);
-}
-
-#[test]
-fn well_formed_waivers_suppress_their_findings() {
-    let f = fixture(
-        "waived.rs",
-        "crates/core/src/waived.rs",
-        "ppbench-core",
-        FileKind::Lib,
-    );
-    assert!(rules_of(&[f]).is_empty());
-}
-
-#[test]
-fn malformed_waivers_are_findings_and_do_not_suppress() {
-    let f = fixture(
-        "bad_waiver.rs",
-        "crates/core/src/bad_waiver.rs",
-        "ppbench-core",
-        FileKind::Lib,
-    );
-    let rules = rules_of(&[f]);
-    assert_eq!(
-        count(&rules, "waiver"),
-        2,
-        "unknown rule + missing reason: {rules:?}"
-    );
-    assert_eq!(
-        count(&rules, "panic"),
-        1,
-        "a reason-less waiver must not suppress the unwrap: {rules:?}"
-    );
+    assert_eq!(rules, vec!["lock-panic"]);
 }
 
 #[test]
 fn clean_fixture_produces_zero_diagnostics() {
-    // Strings, comments, doc text, unwrap_or* family, and cfg(test) code
-    // are the false-positive surface; all must stay silent.
-    let f = fixture(
-        "clean.rs",
-        "crates/core/src/clean.rs",
-        "ppbench-core",
-        FileKind::Lib,
-    );
+    // Strings, comments, doc text, the sanctioned shapes, and cfg(test)
+    // code are the false-positive surface; all must stay silent.
+    let f = fixture("clean.rs", "crates/core/src/clean.rs", FileKind::Lib);
     assert_eq!(rules_of(&[f]), Vec::<&str>::new());
 }
 
 #[test]
 fn test_like_fixtures_are_exempt_wholesale() {
-    // The worst fixture, classified as a test file: nothing fires.
+    // A bad fixture, classified as a test file: nothing fires.
     let f = fixture(
-        "panic_unwrap.rs",
-        "crates/core/tests/panic_unwrap.rs",
-        "ppbench-core",
+        "condvar_wait_bad.rs",
+        "crates/serve/tests/condvar_wait_bad.rs",
         FileKind::TestLike,
     );
     assert!(rules_of(&[f]).is_empty());
@@ -256,7 +86,6 @@ fn condvar_wait_fixture_pair() {
     let bad = fixture(
         "condvar_wait_bad.rs",
         "crates/serve/src/condvar_wait_bad.rs",
-        "ppbench-serve",
         FileKind::Lib,
     );
     let rules = rules_of(&[bad]);
@@ -269,7 +98,6 @@ fn condvar_wait_fixture_pair() {
     let ok = fixture(
         "condvar_wait_ok.rs",
         "crates/serve/src/condvar_wait_ok.rs",
-        "ppbench-serve",
         FileKind::Lib,
     );
     assert!(rules_of(&[ok]).is_empty());
@@ -280,7 +108,6 @@ fn join_order_fixture_pair() {
     let bad = fixture(
         "join_order_bad.rs",
         "crates/sort/src/join_order_bad.rs",
-        "ppbench-sort",
         FileKind::Lib,
     );
     let rules = rules_of(&[bad]);
@@ -289,7 +116,6 @@ fn join_order_fixture_pair() {
     let ok = fixture(
         "join_order_ok.rs",
         "crates/sort/src/join_order_ok.rs",
-        "ppbench-sort",
         FileKind::Lib,
     );
     assert!(rules_of(&[ok]).is_empty());
@@ -300,7 +126,6 @@ fn shared_accumulator_fixture_pair() {
     let bad = fixture(
         "shared_accum_bad.rs",
         "crates/core/src/shared_accum_bad.rs",
-        "ppbench-core",
         FileKind::Lib,
     );
     let rules = rules_of(&[bad]);
@@ -309,40 +134,22 @@ fn shared_accumulator_fixture_pair() {
         2,
         "spawn closure + par_iter for_each: {rules:?}"
     );
-    // A heuristic rule must never be error-severity.
-    assert_eq!(severity_of("shared-accumulator"), Severity::Warning);
 
     let ok = fixture(
         "shared_accum_ok.rs",
         "crates/core/src/shared_accum_ok.rs",
-        "ppbench-core",
         FileKind::Lib,
     );
     assert!(rules_of(&[ok]).is_empty());
 }
 
 #[test]
-fn stale_waiver_fixture_flags_only_the_dead_waiver() {
-    let f = fixture(
-        "stale_waiver.rs",
-        "crates/core/src/stale_waiver.rs",
-        "ppbench-core",
-        FileKind::Lib,
-    );
-    let diags = analyze(&[f]);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].rule, "stale-waiver");
-    assert_eq!(diags[0].line, 11, "anchors at the dead waiver comment");
-}
-
-#[test]
 fn lexer_edge_cases_stay_silent() {
     // Raw strings, lifetimes vs chars, nested block comments, escaped
-    // quotes, line-continuation escapes: all panic-looking text is inert.
+    // quotes, line-continuation escapes: all lock-looking text is inert.
     let f = fixture(
         "lexer_edges.rs",
         "crates/core/src/lexer_edges.rs",
-        "ppbench-core",
         FileKind::Lib,
     );
     assert_eq!(rules_of(&[f]), Vec::<&str>::new());
@@ -351,17 +158,12 @@ fn lexer_edge_cases_stay_silent() {
 #[test]
 fn the_workspace_itself_is_clean() {
     // The invariant the CI job enforces: the real tree, scanned with the
-    // real walker, carries zero error-severity violations. (Warnings —
-    // today only the `shared-accumulator` heuristic — are ratcheted by
-    // the committed baseline instead.)
+    // real walker, carries zero violations.
     let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let root = ppbench_analyze::walk::find_workspace_root(&manifest)
         .expect("workspace root above crates/analyze");
     let files = ppbench_analyze::walk::load_workspace(&root).expect("workspace loads");
-    let errors: Vec<_> = analyze(&files)
-        .into_iter()
-        .filter(|d| severity_of(d.rule) == Severity::Error)
-        .collect();
+    let errors = analyze(&files);
     assert!(
         errors.is_empty(),
         "workspace must stay analyzer-clean:\n{}",

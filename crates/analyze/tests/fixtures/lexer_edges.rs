@@ -1,15 +1,15 @@
 //! Lexer edge-case fixture: every construct here once confused (or could
 //! confuse) a token-level scanner. The whole file must produce zero
-//! diagnostics — every `unwrap`/`panic!` below is quoted, commented, or
+//! diagnostics — every `.lock()`/`.wait(` below is quoted, commented, or
 //! inside cfg(test).
 
 pub fn raw_strings() -> &'static str {
     // Raw strings with hashes: the quote before the final hash does not
     // end the literal.
-    let a = r"plain raw with \ backslash and unwrap()";
-    let b = r#"one hash: "inner quotes" and panic!("x")"#;
-    let c = r##"two hashes: r#"nested-looking"# and .unwrap()"##;
-    let d = br#"byte raw: x.unwrap()"#;
+    let a = r"plain raw with \ backslash and let g = m.lock(); cv.wait(g)";
+    let b = r#"one hash: "inner quotes" and let h = n.lock(); m.lock().unwrap()"#;
+    let c = r##"two hashes: r#"nested-looking"# and { let g = m.lock(); cv.wait(g) }"##;
+    let d = br#"byte raw: let g = m.lock(); n.lock().expect("x")"#;
     concat_all(a, b, c, d)
 }
 
@@ -21,24 +21,26 @@ pub fn lifetimes_vs_chars(x: &'static str) -> char {
     fold::<'_, char>(x, quote, newline, letter)
 }
 
-/* Nested /* block /* comments */ close */ properly: x.unwrap() here is
-   commented out. */
+/* Nested /* block /* comments */ close */ properly: let g = m.lock();
+   cv.wait(g) here is commented out. */
 pub fn after_nested_comment() -> u32 {
     0
 }
 
 pub fn strings_with_escapes() -> String {
-    let s = "escaped quote \" then unwrap() inside a string";
+    let s = "escaped quote \" then let g = m.lock(); cv.wait(g) inside a string";
     let t = "trailing backslash is an escaped newline \
-              continuing here with panic!(never)";
+              continuing here with let h = n.lock(); m.lock().unwrap()";
     format!("{s}{t}")
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn panics_are_fine_here() {
-        super::raw_strings().to_string().pop().unwrap();
-        panic!("assertion mechanism");
+    fn hazards_are_fine_here() {
+        let g = M.lock();
+        let g = CV.wait(g);
+        N.lock().unwrap();
+        drop(g);
     }
 }

@@ -249,7 +249,10 @@ fn main() {
     }
 
     if ephemeral && !keep {
-        // ppbench: allow(discarded-result, reason = "best-effort cleanup of the ephemeral work dir; the run already reported")
+        #[expect(
+            clippy::let_underscore_untyped,
+            reason = "best-effort cleanup of the ephemeral work dir; the run already reported"
+        )]
         let _ = std::fs::remove_dir_all(&work_dir);
     } else if !json {
         println!("\nkernel files kept under {}", work_dir.display());

@@ -261,7 +261,10 @@ fn run_k1(
             let sorter =
                 ExternalSorter::new(&scratch, budget_edges, SortKey::Start).map_err(io_err)?;
             let _stats = sorter.sort(iter, |e| writer.write(e)).map_err(io_err)?;
-            // ppbench: allow(discarded-result, reason = "best-effort scratch cleanup; the sorted output is already written and a leftover dir is harmless")
+            #[expect(
+                clippy::let_underscore_untyped,
+                reason = "best-effort scratch cleanup; the sorted output is already written and a leftover dir is harmless"
+            )]
             let _ = std::fs::remove_dir_all(&scratch);
             writer
                 .finish(

@@ -21,7 +21,6 @@
 //! ([`table`]: renderer, checker and text table) and one command-line
 //! driver ([`cli`]); their binaries hold only a flag table.
 
-#![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
 #![warn(missing_docs)]
 
@@ -103,7 +102,10 @@ fn thread_list_up_to(cores: usize) -> Vec<usize> {
 
 /// [`thread_list_up_to`] the cores this host offers.
 pub(crate) fn host_threads() -> Vec<usize> {
-    // ppbench: allow(env-dependence, reason = "only the default --threads list reads the host; every row records the thread count it ran at, and explicit lists are honoured")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "only the default --threads list reads the host; every row records the thread count it ran at, and explicit lists are honoured"
+    )]
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     thread_list_up_to(cores)
 }

@@ -17,8 +17,8 @@
 //! This matters here because run records are diffed, cached by content
 //! hash, and committed as fixtures: a benchmark suite whose own reports
 //! are non-reproducible would fail its own determinism bar. Analogue of
-//! the kernel-side invariant enforced by `ppbench-analyze`'s
-//! `hash-iteration` rule.
+//! the kernel-side invariant that `clippy.toml`'s `disallowed-types`
+//! (no `HashMap`/`HashSet`) enforces.
 //!
 //! The parser reads untrusted input (HTTP bodies), so its recursion is
 //! capped at [`MAX_DEPTH`] levels: a deeply nested document is a

@@ -63,7 +63,10 @@ pub fn sort_file_set(
             .max(1);
         let scratch = out_dir.join("sort-scratch");
         let stats = pipelined_sort(&scratch, budget_edges, key, iter, |e| writer.write(e))?;
-        // ppbench: allow(discarded-result, reason = "best-effort scratch cleanup; the sorted output is already written and a leftover dir is harmless")
+        #[expect(
+            clippy::let_underscore_untyped,
+            reason = "best-effort scratch cleanup; the sorted output is already written and a leftover dir is harmless"
+        )]
         let _ = std::fs::remove_dir_all(&scratch);
         if !stats.input_digest.same_stream(&in_manifest.digest) {
             return Err(Error::Contract(format!(

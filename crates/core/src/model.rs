@@ -360,7 +360,10 @@ fn measure_storage_write() -> f64 {
             }
             written += chunk.len() as u64;
         }
-        // ppbench: allow(discarded-result, reason = "calibration probe; a failed flush only blurs a rate that is ±2x by design")
+        #[expect(
+            clippy::let_underscore_untyped,
+            reason = "calibration probe; a failed flush only blurs a rate that is ±2x by design"
+        )]
         let _ = f.flush();
     }
     (written as f64).max(1.0) / sw.elapsed_secs()

@@ -1,5 +1,10 @@
 //! Wall-clock timing and the benchmark's throughput metrics.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "this module is the kernel path's one sanctioned clock; everything else times through it"
+)]
+
 use std::time::Instant;
 
 /// A simple wall-clock stopwatch.

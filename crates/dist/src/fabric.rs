@@ -73,8 +73,11 @@ impl Fabric {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "src and dst are rank ids handed out by run_cluster, always < workers; the grid is allocated as workers^2 in new()"
+    )]
     fn slot(&self, src: usize, dst: usize) -> &Slot {
-        // ppbench: allow(indexing, reason = "src and dst are rank ids handed out by run_cluster, always < workers; the grid is allocated as workers^2 in new()")
         &self.slots[src * self.workers + dst]
     }
 
@@ -84,16 +87,23 @@ impl Fabric {
     /// collectives — which are programming errors on par with a failed
     /// `assert!`, not runtime conditions a caller could handle.
     fn take_deposit<T: Send + 'static>(&self, src: usize, dst: usize) -> T {
+        #[expect(
+            clippy::expect_used,
+            reason = "BSP invariant: every deposit happens before the barrier that precedes this take; absence means a rank skipped the collective"
+        )]
         let boxed = self
             .slot(src, dst)
             .lock()
             .take()
-            // ppbench: allow(panic, reason = "BSP invariant: every deposit happens before the barrier that precedes this take; absence means a rank skipped the collective")
             .expect("BSP protocol: deposit must precede the barrier");
-        *boxed
+        #[expect(
+            clippy::expect_used,
+            reason = "BSP invariant: all ranks call the same collectives in the same order, so the deposited type always matches"
+        )]
+        let value = boxed
             .downcast::<T>()
-            // ppbench: allow(panic, reason = "BSP invariant: all ranks call the same collectives in the same order, so the deposited type always matches")
-            .expect("BSP protocol: collective type mismatch across ranks")
+            .expect("BSP protocol: collective type mismatch across ranks");
+        *value
     }
 
     fn count(&self, bytes: u64) {

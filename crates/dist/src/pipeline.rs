@@ -81,7 +81,10 @@ pub fn run_distributed(cfg: &DistConfig) -> DistResult {
         // sort — a distributed bucket sort. -------------------------------
         let mut outboxes: Vec<Vec<Edge>> = vec![Vec::new(); workers];
         for e in local_raw {
-            // ppbench: allow(indexing, reason = "Partition::owner returns a rank < workers by construction and the outbox vec has exactly workers entries")
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "Partition::owner returns a rank < workers by construction and the outbox vec has exactly workers entries"
+            )]
             outboxes[part.owner(e.u)].push(e);
         }
         let received = fabric.all_to_all(rank, outboxes);
@@ -140,7 +143,10 @@ pub fn run_distributed(cfg: &DistConfig) -> DistResult {
     // The counters are global and the snapshots barrier-aligned, so every
     // rank reports identical per-phase traffic; take rank 0's.
     let nnz_after = per_rank.iter().map(|o| o.local_nnz).sum();
-    // ppbench: allow(panic, reason = "Fabric::new asserts workers > 0, so run_cluster returns at least one outcome")
+    #[expect(
+        clippy::expect_used,
+        reason = "Fabric::new asserts workers > 0, so run_cluster returns at least one outcome"
+    )]
     let first = per_rank.into_iter().next().expect("at least one worker");
     DistResult {
         ranks: first.ranks,

@@ -26,7 +26,6 @@
 //! assert_eq!(sorted.column("v").unwrap().as_u64().unwrap(), &[10, 30, 20]);
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
 #![warn(missing_docs)]
 

@@ -16,6 +16,10 @@ pub(crate) const COL_U: &str = "u";
 pub(crate) const COL_V: &str = "v";
 
 /// Builds a two-column ("u", "v") frame from an edge slice.
+#[expect(
+    clippy::expect_used,
+    reason = "the two columns are built right here with equal lengths and distinct names, so Frame::new cannot fail"
+)]
 pub fn frame_from_edges(edges: &[Edge]) -> Frame {
     let u: Vec<u64> = edges.iter().map(|e| e.u).collect();
     let v: Vec<u64> = edges.iter().map(|e| e.v).collect();
@@ -23,7 +27,6 @@ pub fn frame_from_edges(edges: &[Edge]) -> Frame {
         (COL_U.to_string(), Series::U64(u)),
         (COL_V.to_string(), Series::U64(v)),
     ])
-    // ppbench: allow(panic, reason = "the two columns are built right here with equal lengths and distinct names, so Frame::new cannot fail")
     .expect("two equal-length fresh columns")
 }
 
@@ -73,12 +76,16 @@ pub fn read_plain_tsv(path: &Path) -> IoResult<Frame> {
         u.push(a);
         v.push(b);
     }
-    Ok(Frame::new(vec![
+    #[expect(
+        clippy::expect_used,
+        reason = "the two columns are built right here with equal lengths and distinct names, so Frame::new cannot fail"
+    )]
+    let frame = Frame::new(vec![
         (COL_U.to_string(), Series::U64(u)),
         (COL_V.to_string(), Series::U64(v)),
     ])
-    // ppbench: allow(panic, reason = "the two columns are built right here with equal lengths and distinct names, so Frame::new cannot fail")
-    .expect("two equal-length fresh columns"))
+    .expect("two equal-length fresh columns");
+    Ok(frame)
 }
 
 /// Reads a manifest-described edge directory into a ("u", "v") frame,
@@ -103,15 +110,21 @@ pub fn write_edge_tsv(
     vertex_bound: Option<u64>,
     sort_state: SortState,
 ) -> IoResult<ppbench_io::Manifest> {
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract: callers must pass an edge frame; a missing column is a programming error, per the fn docs"
+    )]
     let u = frame
         .column(COL_U)
         .and_then(|s| s.as_u64())
-        // ppbench: allow(panic, reason = "documented contract: callers must pass an edge frame; a missing column is a programming error, per the fn docs")
         .expect("frame has u64 'u' column");
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract: callers must pass an edge frame; a missing column is a programming error, per the fn docs"
+    )]
     let v = frame
         .column(COL_V)
         .and_then(|s| s.as_u64())
-        // ppbench: allow(panic, reason = "documented contract: callers must pass an edge frame; a missing column is a programming error, per the fn docs")
         .expect("frame has u64 'v' column");
     let mut w = EdgeWriter::create(dir, "edges", num_files, frame.rows() as u64)?;
     for (&a, &b) in u.iter().zip(v) {

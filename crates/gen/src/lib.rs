@@ -35,7 +35,6 @@
 //! assert_eq!(edges, Kronecker::new(GraphSpec::new(8, 4), 42).edges());
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
 #![warn(missing_docs)]
 

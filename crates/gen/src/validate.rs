@@ -246,7 +246,10 @@ pub fn check_degree_agreement(
 /// bugs like constant outputs, not to certify the distribution.
 pub fn check_duplicate_fraction(spec: &GraphSpec, edges: &[Edge]) -> GeneratorReport {
     let mut report = GeneratorReport::default();
-    // ppbench: allow(hash-iteration, reason = "membership-only set: only insert() return values are observed, never iteration order")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership-only set: only insert() return values are observed, never iteration order"
+    )]
     let mut seen = std::collections::HashSet::with_capacity(edges.len());
     let mut dupes = 0usize;
     for e in edges {

@@ -36,7 +36,6 @@
 //! assert_eq!(manifest.files.len(), 2);
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
 #![warn(missing_docs)]
 

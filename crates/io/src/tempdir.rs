@@ -43,7 +43,10 @@ impl TempDir {
 impl Drop for TempDir {
     fn drop(&mut self) {
         if !self.path.as_os_str().is_empty() {
-            // ppbench: allow(discarded-result, reason = "best-effort cleanup in Drop; a failed removal must not panic the unwinder")
+            #[expect(
+                clippy::let_underscore_untyped,
+                reason = "best-effort cleanup in Drop; a failed removal must not panic the unwinder"
+            )]
             let _ = std::fs::remove_dir_all(&self.path);
         }
     }

@@ -32,7 +32,6 @@
 //! assert_eq!(rng2.next_f64().to_bits(), x.to_bits());
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
 #![warn(missing_docs)]
 

@@ -24,10 +24,16 @@ impl Pcg32 {
             state: 0,
             inc: (initseq << 1) | 1,
         };
-        // ppbench: allow(discarded-result, reason = "reference pcg32_srandom steps the state and discards the output by design")
+        #[expect(
+            clippy::let_underscore_untyped,
+            reason = "reference pcg32_srandom steps the state and discards the output by design"
+        )]
         let _ = pcg.next_raw32();
         pcg.state = pcg.state.wrapping_add(initstate);
-        // ppbench: allow(discarded-result, reason = "reference pcg32_srandom steps the state and discards the output by design")
+        #[expect(
+            clippy::let_underscore_untyped,
+            reason = "reference pcg32_srandom steps the state and discards the output by design"
+        )]
         let _ = pcg.next_raw32();
         pcg
     }

@@ -44,7 +44,10 @@ impl Xoshiro256pp {
                         *ti ^= si;
                     }
                 }
-                // ppbench: allow(discarded-result, reason = "jump() only needs the state transition; the output word is irrelevant by construction")
+                #[expect(
+                    clippy::let_underscore_untyped,
+                    reason = "jump() only needs the state transition; the output word is irrelevant by construction"
+                )]
                 let _ = self.next_u64();
             }
         }

@@ -4,6 +4,10 @@
 //! `POST /shutdown` drains it. See `ppbench-serve`'s crate docs for the
 //! API.
 
+// Long-running serving code must not die on an out-of-bounds index
+// (test code indexes freely, as everywhere else).
+#![cfg_attr(not(test), warn(clippy::indexing_slicing))]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;

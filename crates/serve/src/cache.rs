@@ -257,7 +257,10 @@ impl DiskCache {
             self.used_bytes = self.used_bytes.saturating_sub(e.bytes);
         }
         let path = self.path_for(hash);
-        // ppbench: allow(discarded-result, reason = "evicting a cache file is best-effort; a leftover file is re-indexed (and re-aged) at next open")
+        #[expect(
+            clippy::let_underscore_untyped,
+            reason = "evicting a cache file is best-effort; a leftover file is re-indexed (and re-aged) at next open"
+        )]
         let _ = std::fs::remove_file(&path);
     }
 

@@ -184,7 +184,10 @@ impl HttpServer {
                         }
                         continue;
                     }
-                    // ppbench: allow(discarded-result, reason = "socket tuning is advisory; a request on an untuned socket is still served correctly")
+                    #[expect(
+                        clippy::let_underscore_untyped,
+                        reason = "socket tuning is advisory; a request on an untuned socket is still served correctly"
+                    )]
                     let _ = stream.set_nodelay(true);
                     conns.push(Conn::new(
                         stream,

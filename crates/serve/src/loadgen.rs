@@ -180,7 +180,10 @@ fn open_conn(
 ) -> Option<LoadConn> {
     let stream = TcpStream::connect(addr).ok()?;
     stream.set_nonblocking(true).ok()?;
-    // ppbench: allow(discarded-result, reason = "nodelay is advisory; latency is still measured correctly without it")
+    #[expect(
+        clippy::let_underscore_untyped,
+        reason = "nodelay is advisory; latency is still measured correctly without it"
+    )]
     let _ = stream.set_nodelay(true);
     Some(LoadConn {
         stream,

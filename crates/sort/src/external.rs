@@ -182,7 +182,10 @@ struct RunDirs(Vec<PathBuf>);
 impl Drop for RunDirs {
     fn drop(&mut self) {
         for dir in &self.0 {
-            // ppbench: allow(discarded-result, reason = "best-effort scratch cleanup; the sort already succeeded or failed")
+            #[expect(
+                clippy::let_underscore_untyped,
+                reason = "best-effort scratch cleanup; the sort already succeeded or failed"
+            )]
             let _ = std::fs::remove_dir_all(dir);
         }
     }

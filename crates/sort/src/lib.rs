@@ -40,7 +40,6 @@
 //! assert!(SortKey::Start.is_sorted(&edges));
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
 #![warn(missing_docs)]
 
@@ -146,7 +145,10 @@ pub fn parallel_sort(edges: &mut [Edge], key: SortKey) {
 ///
 /// Panics if any start vertex is `>= num_vertices`.
 pub fn counting_sort(edges: &mut Vec<Edge>, num_vertices: u64) {
-    // ppbench: allow(panic, reason = "documented contract: counting_sort panics on out-of-range bounds, per the fn docs")
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract: counting_sort panics on out-of-range bounds, per the fn docs"
+    )]
     let n = usize::try_from(num_vertices).expect("vertex bound fits usize");
     let mut counts = vec![0u64; n + 1];
     for e in edges.iter() {

@@ -102,14 +102,14 @@ where
                         }
                     }
                     Err(e) => {
-                        // ppbench: allow(discarded-result, reason = "a failed send means the sorter hung up; the producer just stops")
+                        #[expect(clippy::let_underscore_untyped, reason = "a failed send means the sorter hung up; the producer just stops")]
                         let _ = in_tx.send(Err(e));
                         return;
                     }
                 }
             }
             if !batch.is_empty() {
-                // ppbench: allow(discarded-result, reason = "a failed send means the sorter hung up; the producer just stops")
+                #[expect(clippy::let_underscore_untyped, reason = "a failed send means the sorter hung up; the producer just stops")]
                 let _ = in_tx.send(Ok(batch));
             }
             // Dropping in_tx closes the channel.

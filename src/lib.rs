@@ -43,7 +43,6 @@
 //! std::fs::remove_dir_all(&tmp).ok();
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
 #![warn(missing_docs)]
 
